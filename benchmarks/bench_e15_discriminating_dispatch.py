@@ -13,7 +13,7 @@ attribute (``stock[sym: "SYM-i"]``), and a stream cycling through the
 symbols — every event is relevant to exactly one rule.  Modes:
 
 - ``discriminating`` — the full two-level net (the default config);
-- ``root-label`` — ``EngineConfig(discriminating_index=False)``, the
+- ``root-label`` — ``EngineConfig(trie_depth=0)``, the
   pre-E15 behaviour (first level only);
 - ``broadcast`` — ``EngineConfig(indexed_dispatch=False)``, no index.
 
@@ -50,7 +50,7 @@ NOOP = PyAction(lambda n, b: None, "noop")
 
 MODES = {
     "discriminating": EngineConfig(),
-    "root-label": EngineConfig(discriminating_index=False),
+    "root-label": EngineConfig(trie_depth=0),
     "broadcast": EngineConfig(indexed_dispatch=False),
 }
 

@@ -20,8 +20,8 @@ Workloads (the two shapes that stress opposite partition levels):
 Headline metrics, per shard count:
 
 - ``sN ev/s`` — end-to-end throughput through node inbox + router +
-  shard inboxes (one process, so this measures router overhead, not
-  parallel speedup — the shards are the seam real threads would use);
+  shard inboxes (one process, one thread, so this measures router
+  overhead, not parallel speedup);
 - ``share s4`` — the largest shard's fraction of per-shard events at 4
   shards (perfect split: 0.25).  This is the scaling headroom: each
   engine sees ~1/N of the traffic and holds ~1/N of the rules.
@@ -85,7 +85,7 @@ def run_once(n_rules: int, shards: int, workload: str, n_events: int) -> dict:
     started = time.perf_counter()
     sim.run()
     elapsed = time.perf_counter() - started
-    per_shard = [s.events_processed for s in node.shard_stats]
+    per_shard = [s.events_processed for s in node.stats.shards]
     return {
         "rate": n_events / elapsed,
         "firings": node.stats.rule_firings,

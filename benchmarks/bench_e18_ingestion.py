@@ -119,7 +119,7 @@ def run_once(policy: "str | None", regime: str, n_events: int,
         "firings": node.stats.rule_firings,
     }
     if policy is not None:
-        ingest = node.ingest_stats
+        ingest = node.stats.ingest
         # Conservation: everything offered was admitted, shed, or spilled,
         # and everything that survived fired exactly once.
         assert (ingest.admitted + ingest.rejected + ingest.rate_limited
@@ -165,8 +165,8 @@ def codec_table(n_events: int, n_clients: int) -> list[dict]:
         rows.append({
             "codec": codec,
             "ev/s": n_events / elapsed,
-            "fired": node.ingest_stats.fired,
-            "malformed": node.ingest_stats.malformed,
+            "fired": node.stats.ingest.fired,
+            "malformed": node.stats.ingest.malformed,
         })
     wire_row = next(r for r in rows if r["codec"] == "wire")
     object_row = next(r for r in rows if r["codec"] == "object")

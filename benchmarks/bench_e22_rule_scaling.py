@@ -18,8 +18,8 @@ exactly one.  Modes:
 - ``trie`` — the multi-level trie (the default config);
 - ``twolevel`` — ``EngineConfig(trie_depth=1)``, E15's two-level net:
   one split, ~√N candidates per event;
-- ``rootlabel`` — ``EngineConfig(discriminating_index=False)``: the
-  whole bucket, N candidates per event.
+- ``rootlabel`` — ``EngineConfig(trie_depth=0)``: the whole bucket, N
+  candidates per event.
 
 Headline claims: **ev/s stays flat** for the trie from 100 to 100k rules
 (<= 2x degradation) while the ablations collapse in the same grid, and
@@ -68,7 +68,7 @@ def grid_side(n_rules: int) -> int:
 MODES = {
     "trie": EngineConfig(),
     "twolevel": EngineConfig(trie_depth=1),
-    "rootlabel": EngineConfig(discriminating_index=False),
+    "rootlabel": EngineConfig(trie_depth=0),
 }
 
 

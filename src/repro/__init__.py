@@ -70,7 +70,7 @@ from repro.terms import (
 )
 from repro.web.node import Simulation
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "AdaptiveEvaluator",

@@ -24,9 +24,9 @@ the engine's ``stats`` behind one facade.  With
 ``EngineConfig(ingest=IngestConfig(...))`` the facade also fronts the
 ingestion tier (:mod:`repro.ingest`): :attr:`ReactiveNode.ingest` is the
 admission gateway, :meth:`ReactiveNode.loopback` hands out in-process
-clients, and the engine ``stats`` snapshot mirrors the front door's
-admission counters and enqueue-to-fire latency percentiles.  Anywhere a term or rule is expected, a
-surface-syntax string is accepted and parsed.
+clients, and ``stats.ingest`` carries the front door's admission
+counters and enqueue-to-fire latency percentiles.  Anywhere a term or
+rule is expected, a surface-syntax string is accepted and parsed.
 
 For building rules programmatically there is a fluent builder that lowers
 to the existing :class:`~repro.core.rules.ECARule`::
@@ -65,11 +65,7 @@ child — the same prefixes the in-engine trie recurses on), each shard
 drains its own FIFO inbox, and answers and firing order stay identical
 to ``shards=1``.  The
 facade surface is unchanged; :attr:`ReactiveNode.shards` and
-:attr:`ReactiveNode.shard_stats` expose the fleet.  Adding
-``executor="threads"`` moves each shard's event matching onto a pinned
-worker thread (:mod:`repro.runtime`) behind an epoch/barrier protocol —
-still observationally identical; :attr:`ReactiveNode.executor` (and
-``stats["executor"]``) reports which layer is driving.
+``ReactiveNode.stats.shards`` expose the fleet.
 
 The old explicit wiring (``ReactiveEngine(sim.node(uri))``) keeps working;
 the facade is sugar over it, not a replacement.
@@ -199,7 +195,7 @@ class NodeStats:
 
     - :attr:`engine` — the node-wide
       :class:`~repro.core.engine.EngineStats` snapshot (shards summed,
-      node-inbox gauges and ingestion headline counters mirrored in);
+      node-inbox gauges mirrored in);
     - :attr:`shards` — per-shard :class:`EngineStats` snapshots, each
       carrying its own FIFO inbox's depth/peak; length 1 (mirroring the
       node inbox) when unsharded;
@@ -208,8 +204,8 @@ class NodeStats:
       gateway.
 
     Any other attribute or ``["key"]`` access delegates to :attr:`engine`,
-    so ``node.stats.rule_firings`` and ``node.stats["executor"]`` read
-    exactly as before the namespace existed.
+    so ``node.stats.rule_firings`` and ``node.stats["rule_firings"]``
+    read the engine view directly.
     """
 
     __slots__ = ("engine", "shards", "ingest")
@@ -293,17 +289,6 @@ class ReactiveNode:
         return (self.engine,)
 
     @property
-    def executor(self) -> str:
-        """The *effective* execution layer: ``"threads"`` when a sharded
-        fleet is driven by per-shard worker threads, else ``"inline"``
-        (an unsharded node always runs inline — there is no fleet to
-        drive — as does a sharded node under ``sync_delivery=True``).
-        Also available as ``stats["executor"]``."""
-        if self.router is not None:
-            return self.router.executor_name
-        return "inline"
-
-    @property
     def stats(self) -> NodeStats:
         """A consistent snapshot of the node's counters (:class:`NodeStats`).
 
@@ -345,12 +330,6 @@ class ReactiveNode:
           and therefore never fired; 0 without combinator groups;
         - ``inbox_depth`` / ``inbox_peak`` — *gauges*: the node inbox's
           current and peak backlog (backpressure);
-        - ``executor`` — the effective execution layer (``"inline"`` or
-          ``"threads"``; dict-style access works too:
-          ``node.stats["executor"]``); with threads, ``epochs`` counts
-          barrier round-trips and ``barrier_wait_s`` the wall-clock
-          seconds the scheduler thread spent joining workers (both 0
-          inline);
         - ``evaluator_switches`` — mechanism switches taken by adaptive
           evaluators (``EngineConfig(evaluator="adaptive")``), summed
           across rules and shards (replicas included, like every fleet
@@ -358,13 +337,10 @@ class ReactiveNode:
           :meth:`mechanisms`.
 
         With an ingestion gateway configured (``EngineConfig(ingest=...)``)
-        the snapshot additionally mirrors the front door's headline
-        numbers — ``ingest_admitted`` / ``ingest_rejected`` /
-        ``ingest_dropped`` / ``ingest_rate_limited`` / ``ingest_malformed``
-        / ``ingest_spilled`` counters and the enqueue-to-fire
-        ``ingest_latency_p50`` / ``p99`` / ``max`` gauges (simulated
-        seconds); the full counter set is at ``stats.ingest``.  All
-        zero without a gateway.
+        the front door's counters — ``admitted`` / ``rejected`` /
+        ``dropped`` / ``rate_limited`` / ``malformed`` / ``spilled`` and
+        the enqueue-to-fire ``latency`` percentiles (simulated seconds) —
+        are at ``stats.ingest``.
 
         On a sharded node the engine view sums all shards (see
         :meth:`~repro.sharding.ShardRouter.aggregate_stats`); per-shard
@@ -372,34 +348,20 @@ class ReactiveNode:
         ``stats.shards``.  Re-read the property for fresh values; a
         single engine's live object stays at ``engine.stats``.
         """
-        stats = (self.router.aggregate_stats() if self.router is not None
-                 else replace(self.engine.stats,
-                              evaluator_switches=self.engine.evaluator_switches()))
-        stats = replace(stats,
-                        inbox_depth=self.node.inbox_depth,
-                        inbox_peak=self.node.inbox_peak)
-        ingest = self.ingest.stats if self.ingest is not None else None
-        if ingest is not None:
-            stats = replace(
-                stats,
-                ingest_admitted=ingest.admitted,
-                ingest_rejected=ingest.rejected,
-                ingest_dropped=ingest.dropped,
-                ingest_rate_limited=ingest.rate_limited,
-                ingest_malformed=ingest.malformed,
-                ingest_spilled=ingest.spilled,
-                ingest_latency_p50=ingest.latency.percentile(50.0),
-                ingest_latency_p99=ingest.latency.percentile(99.0),
-                ingest_latency_max=ingest.latency.max,
-            )
+        gauges = {"inbox_depth": self.node.inbox_depth,
+                  "inbox_peak": self.node.inbox_peak}
         if self.router is not None:
+            total = replace(self.router.aggregate_stats(), **gauges)
             shards = self.router.shard_stats()
         else:
-            shards = (replace(self.engine.stats,
-                              inbox_depth=self.node.inbox_depth,
-                              inbox_peak=self.node.inbox_peak,
-                              evaluator_switches=self.engine.evaluator_switches()),)
-        return NodeStats(stats, shards, ingest)
+            # Unsharded: the one engine is the one shard, and the node
+            # inbox is its inbox — a single snapshot serves both views.
+            total = replace(
+                self.engine.stats,
+                evaluator_switches=self.engine.evaluator_switches(), **gauges)
+            shards = (total,)
+        return NodeStats(total, shards,
+                         self.ingest.stats if self.ingest is not None else None)
 
     def mechanisms(self) -> dict[str, dict]:
         """Per-rule evaluation-mechanism report, by rule name.
@@ -416,28 +378,6 @@ class ReactiveNode:
         """
         impl = self.router if self.router is not None else self.engine
         return impl.mechanism_report()
-
-    @property
-    def ingest_stats(self):
-        """Deprecated alias for ``stats.ingest``: the gateway's live
-        :class:`~repro.ingest.stats.IngestStats`, or ``None`` without a
-        gateway.  Kept so existing callers and examples keep working;
-        new code should read :attr:`stats` and use its sub-views."""
-        return self.ingest.stats if self.ingest is not None else None
-
-    @property
-    def shard_stats(self) -> tuple[EngineStats, ...]:
-        """Deprecated alias for ``stats.shards``: per-shard snapshots,
-        one :class:`EngineStats` each, carrying that shard's *own* FIFO
-        inbox gauges.  Length 1 (mirroring the node inbox) when
-        unsharded.  Kept so existing callers and examples keep working;
-        new code should read :attr:`stats` and use its sub-views."""
-        if self.router is not None:
-            return self.router.shard_stats()
-        return (replace(self.engine.stats,
-                        inbox_depth=self.node.inbox_depth,
-                        inbox_peak=self.node.inbox_peak,
-                        evaluator_switches=self.engine.evaluator_switches()),)
 
     def __repr__(self) -> str:
         shards = "" if self.router is None else f", shards={len(self.router.engines)}"

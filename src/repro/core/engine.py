@@ -57,10 +57,10 @@ nodes), so neither pays the O(rules) full rebuild — that cost is reserved
 for :meth:`ReactiveEngine.refresh`, which still handles rule-set changes
 by rebuilding through the same insert machinery.
 
-Three config knobs select the pipeline depth, each the ablation switch of
+Two config knobs select the pipeline depth, each the ablation switch of
 a benchmark experiment: ``indexed_dispatch=False`` broadcasts every event
-to every rule (E13); ``discriminating_index=False`` stops at the root
-label (E15); the default runs the full trie (depth swept in E22).  All
+to every rule (E13); ``trie_depth=0`` stops at the root label (E15); the
+default runs the full trie (depth swept in E22).  All
 modes produce identical answers and firing counts, and — under queued
 delivery, the default — identical firing order; only the candidate count
 changes (``EngineStats.candidates_considered`` / ``index_probes`` /
@@ -112,8 +112,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.core import actions as act
 from repro.core import conditions as cond
@@ -156,11 +155,8 @@ class EngineStats:
     (see :mod:`repro.core.rulesets`); 0 without combinator groups.  See
     :attr:`repro.api.ReactiveNode.stats` for the full key-by-key guide.
 
-    ``executor`` names the execution layer that produced the snapshot
-    (``"inline"`` or ``"threads"``); with threads, ``epochs`` counts
-    barrier round-trips and ``barrier_wait_s`` the coordinator's
-    wall-clock seconds spent inside them (both 0 inline).  Keys are also
-    readable dict-style — ``stats["executor"]`` — for report scripts.
+    Keys are also readable dict-style — ``stats["rule_firings"]`` — for
+    report scripts.
     """
 
     events_processed: int = 0
@@ -182,33 +178,14 @@ class EngineStats:
     # the one place that sees both halves); 0 for a bare engine.
     inbox_depth: int = 0
     inbox_peak: int = 0
-    # Execution-layer descriptors, stamped by the router/facade snapshot
-    # (never summed like the counters above).
-    executor: str = "inline"
-    epochs: int = 0
-    barrier_wait_s: float = 0.0
     # Mechanism switches taken by adaptive evaluators across all active
     # rules; stamped at snapshot time by the facade/router (the live
     # counters sit on the evaluators, see mechanism_report()).  0 for
     # fixed mechanisms.
     evaluator_switches: int = 0
-    # Ingestion-tier mirror, stamped by ReactiveNode.stats when a gateway
-    # is configured (EngineConfig.ingest); all zero otherwise.  The full
-    # counter set lives on IngestStats (node.ingest_stats) — these are the
-    # headline numbers reports read from one snapshot: admission outcomes
-    # and enqueue-to-fire latency percentiles in simulated seconds.
-    ingest_admitted: int = 0
-    ingest_rejected: int = 0
-    ingest_dropped: int = 0
-    ingest_rate_limited: int = 0
-    ingest_malformed: int = 0
-    ingest_spilled: int = 0
-    ingest_latency_p50: float = 0.0
-    ingest_latency_p99: float = 0.0
-    ingest_latency_max: float = 0.0
 
     def __getitem__(self, key: str):
-        """Dict-style read access (``stats["executor"]``) for reports."""
+        """Dict-style read access (``stats["rule_firings"]``) for reports."""
         if key not in _ENGINE_STATS_FIELDS:
             raise KeyError(key)
         return getattr(self, key)
@@ -264,18 +241,16 @@ class EngineConfig:
       (the default).  ``False`` restores the broadcast baseline where every
       event visits every rule's evaluator; kept as an ablation switch for
       the dispatch-scaling experiment (E13).
-    - ``discriminating_index`` — within one root label's bucket, sub-index
-      rules by their constant discriminators (attribute values or
-      constant-scalar children) in a recursive discrimination trie, so
-      high-fanout labels stop broadcasting to their whole bucket (the
-      default).  ``False`` stops the net at the root label — the E15
-      ablation, i.e. pre-discrimination behaviour.  Only meaningful with
-      ``indexed_dispatch=True``.
     - ``trie_depth`` — cap on how many axis levels the discrimination
-      trie may split below each root label.  ``None`` (default) splits
+      trie may split below each root label: within one label's bucket,
+      rules are sub-indexed by their constant discriminators (attribute
+      values or constant-scalar children), so high-fanout labels stop
+      broadcasting to their whole bucket.  ``None`` (default) splits
       until rules run out of discriminators; ``1`` reproduces the old
       two-level net (one shared axis per label bucket) — the E22
-      ablation.  Only meaningful with ``discriminating_index=True``.
+      ablation; ``0`` stops the net at the root label — the E15
+      ablation, i.e. pre-discrimination behaviour.  Only meaningful with
+      ``indexed_dispatch=True``.
 
     **Delivery and scheduling**
 
@@ -306,31 +281,12 @@ class EngineConfig:
       discriminator-attribute axis), gives each shard its own FIFO inbox,
       and drains them from the scheduler in global arrival order —
       answers and firing order are identical to ``shards=1`` (the E16
-      experiment; property-tested).  One caveat, mirroring the
-      sync-delivery note above: with ``sync_delivery=True`` a mid-action
-      ``raise_local`` that finds replica copies still queued defers like
-      a backlog, so intra-instant firing interleaving can differ from
-      ``shards=1`` (answers and firing counts still agree).  Only the
-      facade interprets this field: a bare :class:`ReactiveEngine`
-      rejects N > 1.
-    - ``executor`` — how the shard fleet is driven: ``"inline"`` (default)
-      merge-drains every shard on the scheduler thread, bit-for-bit the
-      pre-threading path; ``"threads"`` gives each shard a pinned worker
-      thread (:mod:`repro.runtime`): a drain snapshots the per-shard
-      inbox segments for the instant, the workers advance their
-      evaluators in parallel collecting would-be firings, and a barrier
-      joins them before the answers fire serially in global (arrival,
-      installation) order — answers and firing order match ``"inline"``
-      (property-tested, E17).  Two scoping rules: the knob only engages
-      on a sharded node (``shards=1`` has no fleet to drive), and
-      ``sync_delivery=True`` falls back to the inline executor (a nested
-      sync hand-off runs on the raising stack by definition).  One
-      threaded-mode caveat: a rule installed *by a fired action* joins
-      from the next event onward — events that shared the installing
-      event's epoch were already matched when the action ran (the inline
-      executor lets the tail of the same drain reach the new rule).
-      The environment variable ``REPRO_DEFAULT_EXECUTOR`` overrides the
-      default — the CI matrix leg that re-runs tier-1 threaded sets it.
+      experiment; property-tested).  Sharding requires queued delivery:
+      ``sync_delivery=True`` with ``shards > 1`` is rejected at
+      construction, because a nested inline hand-off cannot be
+      reproduced while replica copies of the in-flight event are still
+      queued on other shards.  Only the facade interprets this field: a
+      bare :class:`ReactiveEngine` rejects N > 1.
 
     **Ingestion**
 
@@ -340,8 +296,8 @@ class EngineConfig:
       / ``drop-oldest`` / ``spill``), per-sender token-bucket rate
       limiting, weighted-fair service, and enqueue-to-fire latency
       accounting (see :mod:`repro.ingest`).  The facade exposes the
-      gateway as :attr:`~repro.api.ReactiveNode.ingest` and mirrors its
-      headline counters into :attr:`~repro.api.ReactiveNode.stats`.
+      gateway as :attr:`~repro.api.ReactiveNode.ingest` and its live
+      counters as ``ReactiveNode.stats.ingest``.
       ``None`` (default) builds no gateway at all — events reach the
       inbox exactly as before; the E18 ablation.  Only the facade
       interprets this field, like ``shards``.
@@ -366,15 +322,11 @@ class EngineConfig:
     consumption: str = "unrestricted"
     event_views: "Program | None" = None
     indexed_dispatch: bool = True
-    discriminating_index: bool = True
     trie_depth: "int | None" = None
     sync_delivery: bool | None = None
     inbox_batch: int | None = None
     coalesced_wakeups: bool = True
     shards: int = 1
-    executor: str = field(
-        default_factory=lambda: os.environ.get("REPRO_DEFAULT_EXECUTOR", "inline")
-    )
     ingest: "object | None" = None  # IngestConfig; typed loosely to keep
     # the core layer free of an import from repro.ingest (which imports web)
     store: "object | None" = None  # StoreConfig; same deferred-import
@@ -390,16 +342,19 @@ class EngineConfig:
         if self.rate_halflife is not None and not self.rate_halflife > 0:
             raise RuleError(
                 f"rate_halflife must be > 0, got {self.rate_halflife}")
-        if self.trie_depth is not None and self.trie_depth < 1:
-            raise RuleError(f"trie_depth must be >= 1, got {self.trie_depth}")
+        if self.trie_depth is not None and self.trie_depth < 0:
+            raise RuleError(f"trie_depth must be >= 0, got {self.trie_depth}")
         if self.inbox_batch is not None and self.inbox_batch < 1:
             raise RuleError(f"inbox_batch must be >= 1, got {self.inbox_batch}")
         if self.shards < 1:
             raise RuleError(f"shards must be >= 1, got {self.shards}")
-        if self.executor not in ("inline", "threads"):
+        if self.sync_delivery and self.shards > 1:
             raise RuleError(
-                f"unknown executor {self.executor!r} "
-                "(expected 'inline' or 'threads')"
+                f"sync_delivery=True cannot be combined with shards="
+                f"{self.shards}: an event raised inline mid-action would "
+                "have to overtake replica copies of the in-flight event "
+                "still queued on other shards, so firing order could not "
+                "match shards=1 (use queued delivery, the default)"
             )
         if self.ingest is not None:
             # Deferred import: repro.ingest sits above the web layer and
@@ -638,6 +593,32 @@ class _TrieNode:
                     stack.append(child)
 
 
+def resolve_group_answers(rows: list) -> None:
+    """Fire each combinator group's winning answers, suppress losers.
+
+    *rows* are ``(engine, name, rule, answers, (gid, kind, prec))`` in
+    installation order — one engine's rows at dispatch and at its own
+    wake-ups, several engines' rows when the shard router resolves a
+    shared deadline globally.  Per group, exactly the answering members
+    at the highest precedence fire (ties all fire; first-match groups
+    have unique precedences, so one winner); losers' answers are counted
+    in their engine's ``stats.firings_suppressed``.
+    """
+    best: dict[str, float] = {}
+    for _engine, _name, _rule, _answers, (gid, _kind, prec) in rows:
+        if gid not in best or prec > best[gid]:
+            best[gid] = prec
+    for engine, name, rule, answers, (gid, _kind, prec) in rows:
+        if prec != best[gid]:
+            engine.stats.firings_suppressed += len(answers)
+            continue
+        for answer in answers:
+            if engine.collector is not None:
+                engine.collector.append((name, rule, answer.bindings))
+            else:
+                engine._fire(rule, answer.bindings)
+
+
 class ReactiveEngine:
     """Rule evaluation and action execution for one node."""
 
@@ -678,10 +659,9 @@ class ReactiveEngine:
         self._label_stamps: dict[str, float] = {}
         self._event_views = config.event_views
         self._indexed = config.indexed_dispatch
-        self._discriminating = config.discriminating_index
-        # Depth cap handed to trie inserts: the root-label-only ablation
-        # (discriminating_index=False) is "never split", i.e. depth 0.
-        self._split_depth = config.trie_depth if config.discriminating_index else 0
+        # Depth cap handed to trie inserts (None = unbounded, 0 = never
+        # split: the root-label-only ablation).
+        self._split_depth = config.trie_depth
         self._coalesced = config.coalesced_wakeups
         # Only settings the config actually specifies reach the node;
         # node-level delivery choices survive an engine with defaults.
@@ -747,12 +727,12 @@ class ReactiveEngine:
         # default to plain single-engine behaviour.
         self.wakeup_via = None  # callable(deadline) | None
         self.installer = self
-        # Threaded-executor seam: when a worker thread drives this shard it
-        # plants a list here and answers are *collected* as
-        # (qualified_name, rule, bindings) instead of fired, and wake-up
-        # scheduling is deferred — the router fires the merged answers and
-        # schedules wake-ups at the barrier, on the scheduler thread (see
-        # repro.runtime).  None = fire inline.
+        # Collect seam for the router's ambiguous-event unit: while a list
+        # is planted here, handle_event *collects* answers as
+        # (qualified_name, rule, bindings) instead of firing them and
+        # defers wake-up scheduling — the router fires the copies' merged
+        # answers in global installation order, then schedules the
+        # wake-ups.  None = fire inline.
         self.collector = None  # list[(str, ECARule, Bindings)] | None
         if attach:
             node.on_event(self.handle_event)
@@ -1161,7 +1141,7 @@ class ReactiveEngine:
         if self.collector is None:
             self._schedule_wakeups()
         # Collect mode: _touched accumulates; the router runs
-        # _schedule_wakeups at the barrier, on the scheduler thread.
+        # _schedule_wakeups once the collected answers have fired.
 
     def _derive_events(self, event: Event) -> list[Event]:
         return derive_events(self._event_views, event, self.node.uri)
@@ -1201,7 +1181,7 @@ class ReactiveEngine:
                 # exactly as they always did.
                 if deferred is None:
                     deferred = []
-                deferred.append((name, rule, answers, spec))
+                deferred.append((self, name, rule, answers, spec))
                 continue
             for answer in answers:
                 if self.collector is not None:
@@ -1209,30 +1189,7 @@ class ReactiveEngine:
                 else:
                     self._fire(rule, answer.bindings)
         if deferred:
-            self._resolve_group_answers(deferred)
-
-    def _resolve_group_answers(self, deferred: list) -> None:
-        """Fire each combinator group's winning answers, suppress losers.
-
-        *deferred* rows are ``(name, rule, answers, (gid, kind, prec))``
-        in installation order.  Per group, exactly the answering members
-        at the highest precedence fire (ties all fire; first-match groups
-        have unique precedences, so one winner); losers' answers are
-        counted in ``stats.firings_suppressed``.
-        """
-        best: dict[str, float] = {}
-        for _name, _rule, _answers, (gid, _kind, prec) in deferred:
-            if gid not in best or prec > best[gid]:
-                best[gid] = prec
-        for name, rule, answers, (gid, _kind, prec) in deferred:
-            if prec != best[gid]:
-                self.stats.firings_suppressed += len(answers)
-                continue
-            for answer in answers:
-                if self.collector is not None:
-                    self.collector.append((name, rule, answer.bindings))
-                else:
-                    self._fire(rule, answer.bindings)
+            resolve_group_answers(deferred)
 
     def _interested(self, event: Event) -> list[tuple[ECARule, object]]:
         """Snapshot of the rules whose queries can be affected by *event*.
@@ -1240,7 +1197,7 @@ class ReactiveEngine:
         Probes the event label's trie root, descends by the constants the
         event exhibits on each visited axis, and merges the reached leaf
         lists with the wildcard rules by installation sequence.
-        Root-label-only mode (``discriminating_index=False``) never split
+        Root-label-only mode (``trie_depth=0``) never split
         the trie, so the root is one flat leaf; the broadcast ablation
         returns every active rule.  Always a *fresh* list: firing a rule
         may install/uninstall rules, which edits the trie in place
@@ -1287,21 +1244,17 @@ class ReactiveEngine:
             items = [(rule, ev) for _seq, _name, rule, ev in batch]
         else:
             items = list(self._ordered_entries())
-        if self._groups:
-            # Same deferral as _dispatch, across the whole instant:
-            # grouped answers compete per instant, not per evaluator.
-            buffer: list = []
-            self._group_buffer = buffer
-            try:
-                for rule, evaluator in items:
-                    self.advance_evaluator(when, rule, evaluator)
-            finally:
-                self._group_buffer = None
-            if buffer:
-                self._resolve_group_answers(buffer)
-        else:
+        # Same deferral as _dispatch, across the whole instant: grouped
+        # answers compete per instant, not per evaluator.
+        buffer: "list | None" = [] if self._groups else None
+        self._group_buffer = buffer
+        try:
             for rule, evaluator in items:
                 self.advance_evaluator(when, rule, evaluator)
+        finally:
+            self._group_buffer = None
+        if buffer:
+            resolve_group_answers(buffer)
         self._schedule_wakeups()
 
     def advance_evaluator(self, when: float, rule: ECARule, evaluator,
@@ -1333,13 +1286,10 @@ class ReactiveEngine:
         if self._group_buffer is not None:
             spec = self._groups.get(name) if self._groups else None
             if spec is not None:
-                self._group_buffer.append((name, rule, answers, spec))
+                self._group_buffer.append((self, name, rule, answers, spec))
                 return
         for answer in answers:
-            if self.collector is not None:
-                self.collector.append((name, rule, answer.bindings))
-            else:
-                self._fire(rule, answer.bindings)
+            self._fire(rule, answer.bindings)
 
     def _schedule_wakeups(self) -> None:
         for evaluator in self._touched:

@@ -80,51 +80,30 @@ router involvement: the facade swaps the durable store in as
 ``node.resources`` *before* the fleet is built, and every shard's
 conditions and actions dereference ``node.resources`` at call time — so
 the whole fleet shares the one durable store, commits are serialised by
-the store's own lock (actions only run on the scheduler thread at the
-epoch barrier anyway), and a reopened sharded node recovers exactly like
+the store's own lock, and a reopened sharded node recovers exactly like
 a single-engine one.
 
-Under queued delivery (the default) the equivalence is exact.  With
-``sync_delivery=True`` the router inlines the hand-off and the drain, so
-nested raises stay nested — except when replica copies of the in-flight
-event are still queued, where the raised event defers like a backlog
-(inline dispatch never jumps a queue, same as :class:`WebNode`): firings
-and answers still match ``shards=1``, intra-instant interleaving may not.
+The equivalence needs queued delivery (the default):
+``EngineConfig(sync_delivery=True, shards>1)`` is rejected at
+construction, since an event raised inline mid-action would have to
+overtake replica copies of the in-flight event still queued on other
+shards.
 
 Execution layer
 ---------------
 
-``EngineConfig(executor=...)`` selects how the fleet is *driven*:
-
-- ``"inline"`` (default): the merge-drain above runs every shard on the
-  scheduler thread — the exact pre-threading path.
-- ``"threads"``: each shard gets a pinned worker thread
-  (:class:`repro.runtime.ShardWorkerPool`) and every drain becomes an
-  *epoch*: the scheduler callback snapshots, per shard, exactly the inbox
-  segment the inline merge would have popped (same global-arrival order,
-  same ``inbox_batch`` budgets), releases the workers to advance their
-  own engines' evaluators in parallel — answers are *collected*, not
-  fired — and joins them at a barrier before firing the merged answers
-  serially in global ``(arrival seq, installation order)`` order.
-  Simulated time cannot advance mid-epoch (the drain callback blocks in
-  the join), conditions and actions only ever run on the scheduler
-  thread, and cross-shard effects — wake-up registration, dedup
-  counting, ``INSTALL``/``UNINSTALL`` re-partitions — are applied at the
-  barrier, so answers and firing order are identical to ``"inline"``
-  (property-tested, experiment E17).  ``sync_delivery=True`` forces the
-  inline driver: a nested sync hand-off runs on the raising stack by
-  definition.  The one visibility caveat is documented on
-  :class:`~repro.core.engine.EngineConfig`: a rule installed by a fired
-  action joins from the next event onward, because the events sharing
-  the installing event's epoch were already matched when the action ran.
+The whole fleet runs on the scheduler thread: one drain callback pops
+the shard inboxes in global arrival order and lets the owning engine
+dispatch (and fire) each event in place.  The only collect-then-fire
+case is an *ambiguous* event, whose copies fire disjoint rule sets on
+several shards: they are consumed as one unit, the answers collected per
+shard and fired merged in installation order.
 """
 
 from __future__ import annotations
 
 import copy
-import heapq
 import itertools
-import weakref
 import zlib
 from collections import deque
 from dataclasses import fields, replace
@@ -134,6 +113,7 @@ from repro.core.engine import (
     EngineStats,
     ReactiveEngine,
     derive_events,
+    resolve_group_answers,
 )
 from repro.core.rules import ECARule
 from repro.core.rulesets import RuleSet, compile_group_specs
@@ -141,7 +121,6 @@ from repro.errors import RecursionRejected, RuleError
 from repro.events.factory import resolve_evaluator
 from repro.events.model import Event
 from repro.events.queries import EventInterest, extract_axis_value, query_interest
-from repro.runtime import ShardWorkerPool
 from repro.terms.ast import canonical_str
 
 __all__ = ["ShardRouter", "shard_of"]
@@ -229,28 +208,13 @@ class ShardRouter:
         self._event_views = config.event_views
         self._coalesced = config.coalesced_wakeups
         self._inbox_batch = config.inbox_batch
-        # Execution layer: "threads" pins one worker thread to each shard
-        # and turns every drain into a snapshot/epoch/barrier round-trip
-        # (see the module docstring).  Sync delivery is inherently inline
-        # (the nested hand-off runs on the raising stack), so it keeps the
-        # inline driver.  Worker threads start lazily at the first epoch;
-        # the finalizer reclaims them when the router is garbage-collected
-        # so short-lived nodes (tests, benchmarks) never leak threads.
-        if config.executor == "threads" and config.sync_delivery is not True:
-            self.pool: "ShardWorkerPool | None" = ShardWorkerPool(
-                self.n_shards, name=f"{node.uri}#shard"
-            )
-            self._pool_finalizer = weakref.finalize(self, self.pool.shutdown)
-        else:
-            self.pool = None
-        self.executor_name = "threads" if self.pool is not None else "inline"
         self.derived_events = 0
         self.inbox_drains = 0
         self.inbox_peaks = [0] * self.n_shards
         self._inboxes = tuple(deque() for _ in range(self.n_shards))
         self._seq = itertools.count()
         self._started_seq = -1  # highest seq whose first copy was processed
-        self._dispatch_depth = 0  # shards mid-dispatch/advance (nested: sync)
+        self._dispatch_depth = 0  # > 0 while a shard is mid-dispatch/advance
         self._drain_scheduled = False
         self._pending_wakeups: set[float] = set()
         # Same rule-base bookkeeping shape as ReactiveEngine, so install /
@@ -688,24 +652,11 @@ class ShardRouter:
             self._route(derived)
 
     def _route(self, event: Event) -> None:
-        # The same rule WebNode._deliver applies: inline dispatch never
-        # jumps a backlog.  Queued entries here include replica copies of
-        # the event being dispatched right now — draining them nested
-        # would hand replicas the in-flight and the raised event in
-        # opposite orders on different shards, and a cross-shard rule
-        # could then complete on two firing copies (double fire).  With a
-        # backlog the raised event defers exactly like the single engine's
-        # non-empty-inbox case: same firings, intra-instant interleaving
-        # may differ (the sync-mode caveat the engine module documents).
-        backlog = any(self._inboxes)
         self._enqueue(next(self._seq), event)
-        if self.node.sync_delivery and not backlog:
-            # Inline hand-off: the single engine dispatches a sync-raised
-            # event nested inside the raising action, so the router drains
-            # immediately (re-entrant: _dispatch_depth keeps the frozen
-            # guard up through the nesting) instead of deferring.
-            self._drain()
-        elif not self._drain_scheduled:
+        self._schedule_drain()
+
+    def _schedule_drain(self) -> None:
+        if not self._drain_scheduled:
             self._drain_scheduled = True
             self.node.clock.soon(self._drain)
 
@@ -793,29 +744,9 @@ class ShardRouter:
             self._inboxes[si].extend(entries)
         for seq in sorted(fresh):
             self._enqueue(seq, fresh[seq])
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            self.node.clock.soon(self._drain)
+        self._schedule_drain()
 
     def _drain(self) -> None:
-        """Drain the shard inboxes for this instant (inline or threaded).
-
-        Both executors process the same events in the same observable
-        order; they differ only in *which thread* advances each shard's
-        evaluators.  Leftovers (fairness budgets) re-yield to the
-        scheduler at the same instant either way.
-        """
-        self._drain_scheduled = False
-        self.inbox_drains += 1
-        if self.pool is not None and not self.node.sync_delivery:
-            self._drain_threaded()
-        else:
-            self._drain_inline()
-        if any(self._inboxes) and not self._drain_scheduled:
-            self._drain_scheduled = True
-            self.node.clock.soon(self._drain)
-
-    def _drain_inline(self) -> None:
         """Merge-drain the shard inboxes in global arrival order.
 
         Always pops the globally oldest pending event (copies of one event
@@ -823,9 +754,13 @@ class ShardRouter:
         is what keeps N-shard firing order identical to one engine.  With
         ``inbox_batch=k`` each shard consumes at most *k* events per
         drain; when the oldest event's shard is out of budget the router
-        re-yields, so fairness never reorders.
+        re-yields to the scheduler at the same instant, so fairness never
+        reorders.
         """
-        budgets = [self._inbox_batch] * self.n_shards  # None = unbounded
+        self._drain_scheduled = False
+        self.inbox_drains += 1
+        bounded = self._inbox_batch is not None
+        budgets = [self._inbox_batch] * self.n_shards
         while True:
             best, best_seq = -1, None
             for si in range(self.n_shards):
@@ -834,38 +769,37 @@ class ShardRouter:
                     best, best_seq = si, box[0][0]
             if best < 0:
                 break
-            if budgets[best] == 0:
-                break  # oldest shard over budget: yield to the scheduler
-            if isinstance(self._inboxes[best][0][2], frozenset):
-                # Ambiguous event: several shards fire disjoint rule sets
-                # for the *same* seq, so all its copies are consumed as
-                # one unit and the answers fire merged in installation
-                # order (popping shard-by-shard would fire shard-major).
+            # Ambiguous event: several shards fire disjoint rule sets for
+            # the *same* seq, so all its copies are consumed as one unit
+            # (popping shard-by-shard would fire shard-major).
+            ambiguous = isinstance(self._inboxes[best][0][2], frozenset)
+            if ambiguous:
                 involved = [si for si in range(self.n_shards)
                             if self._inboxes[si]
                             and self._inboxes[si][0][0] == best_seq]
+            else:
+                involved = (best,)
+            if bounded:
                 if any(budgets[si] == 0 for si in involved):
-                    break  # the whole unit defers to the next drain
+                    break  # over budget: the whole unit yields to the scheduler
                 for si in involved:
-                    if budgets[si] is not None:
-                        budgets[si] -= 1
-                if best_seq > self._started_seq:
-                    self._started_seq = best_seq
-                self._fire_ambiguous_inline(involved)
+                    budgets[si] -= 1
+            if best_seq > self._started_seq:
+                self._started_seq = best_seq
+            if ambiguous:
+                self._fire_ambiguous(involved)
                 continue
-            if budgets[best] is not None:
-                budgets[best] -= 1
-            seq, event, fire, exclude = self._inboxes[best].popleft()
-            if seq > self._started_seq:
-                self._started_seq = seq
+            _seq, event, fire, exclude = self._inboxes[best].popleft()
             self._dispatch_depth += 1
             try:
                 self.engines[best].handle_event(event, fire=fire,
                                                 exclude=exclude)
             finally:
                 self._dispatch_depth -= 1
+        if any(self._inboxes):
+            self._schedule_drain()
 
-    def _fire_ambiguous_inline(self, involved: list) -> None:
+    def _fire_ambiguous(self, involved: list) -> None:
         """Pop and dispatch one ambiguous event's copies, firing merged.
 
         Each involved shard advances its replicas with the copy's fire
@@ -874,7 +808,9 @@ class ShardRouter:
         installation order — grouped (combinator) winners after ungrouped
         answers, exactly as a single engine's dispatch resolves them.  On
         an engine failure the already-collected prefix still fires before
-        the error propagates, mirroring the threaded barrier's error path.
+        the error propagates: a single engine fires each evaluator's
+        answers as its dispatch loop reaches it, so answers produced
+        before the raise have fired.
         """
         rows: list = []
         order = self._plan.order
@@ -896,200 +832,16 @@ class ShardRouter:
                             rows.append((name in group_specs,
                                          order.get(name, len(order)), k,
                                          si, rule, bindings))
-            except BaseException:
+            finally:
                 rows.sort(key=lambda row: row[:3])
                 for _g, _o, _k, si, rule, bindings in rows:
                     self.engines[si]._fire(rule, bindings)
-                raise
-            rows.sort(key=lambda row: row[:3])
-            for _g, _o, _k, si, rule, bindings in rows:
-                self.engines[si]._fire(rule, bindings)
         finally:
             self._dispatch_depth -= 1
             for si in involved:
                 engine = self.engines[si]
                 if engine._touched:
                     engine._schedule_wakeups()
-
-    # -- threaded execution (epoch/barrier, see repro.runtime) ----------------
-
-    def _snapshot_segments(self):
-        """Pop, per shard, exactly the entries the inline merge would pop.
-
-        Replays the merge-drain's selection rule — globally oldest seq
-        first, stop when the oldest shard's ``inbox_batch`` budget is
-        spent — but keeps the popped entries grouped by shard, each
-        segment in its own FIFO order.  Returns ``(segments, top_seq)``
-        where *top_seq* is the highest sequence number popped (None when
-        the inboxes were empty).
-        """
-        budgets = [self._inbox_batch] * self.n_shards  # None = unbounded
-        segments: list[list] = [[] for _ in range(self.n_shards)]
-        top = None
-        while True:
-            best, best_seq = -1, None
-            for si in range(self.n_shards):
-                box = self._inboxes[si]
-                if box and (best_seq is None or box[0][0] < best_seq):
-                    best, best_seq = si, box[0][0]
-            if best < 0 or budgets[best] == 0:
-                break
-            if isinstance(self._inboxes[best][0][2], frozenset):
-                # Ambiguous event: all copies enter the epoch together or
-                # not at all (the barrier merge interleaves their answers
-                # across shards, so a split unit would misorder firings).
-                involved = [si for si in range(self.n_shards)
-                            if self._inboxes[si]
-                            and self._inboxes[si][0][0] == best_seq]
-                if any(budgets[si] == 0 for si in involved):
-                    break
-                for si in involved:
-                    if budgets[si] is not None:
-                        budgets[si] -= 1
-                    segments[si].append(self._inboxes[si].popleft())
-                top = best_seq
-                continue
-            if budgets[best] is not None:
-                budgets[best] -= 1
-            segments[best].append(self._inboxes[best].popleft())
-            top = best_seq
-        return segments, top
-
-    def _segment_job(self, si: int, segment: list, out: list,
-                     failed_at: list):
-        """The per-worker epoch job: advance shard *si* over its segment.
-
-        Runs on the shard's pinned worker thread.  The engine's
-        ``collector`` seam turns every would-be firing into a collected
-        ``(seq, k, shard, name, rule, bindings)`` row — *k* is the
-        answer's position within its event, so the barrier can restore
-        the exact inline firing order — and defers wake-up scheduling
-        (the clock is not thread-safe) to the barrier.  Replica
-        deliveries (``fire=False`` or a fire *set* without the rule)
-        count their dedup suppressions engine-locally, exactly as inline.
-        An engine exception records the failing position in
-        ``failed_at[si]`` before propagating, so the barrier can still
-        fire everything that logically precedes the failure — including
-        the failing event's *own* already-collected answers (inline fires
-        each evaluator's answers as the dispatch loop reaches it, so
-        answers produced before the raise have fired).
-        """
-        engine = self.engines[si]
-
-        def job() -> None:
-            for seq, event, fire, exclude in segment:
-                collected: list = []
-                engine.collector = collected
-                try:
-                    if isinstance(fire, frozenset):
-                        engine.handle_event(event, exclude=exclude,
-                                            fire_for=fire)
-                    else:
-                        engine.handle_event(event, fire=fire, exclude=exclude)
-                except BaseException:
-                    failed_at[si] = seq
-                    raise
-                finally:
-                    engine.collector = None
-                    # Flush even on failure: the pre-raise answers of the
-                    # failing event are part of the inline prefix.
-                    for k, (name, rule, bindings) in enumerate(collected):
-                        out.append((seq, k, si, name, rule, bindings))
-
-        return job
-
-    def _drain_threaded(self) -> None:
-        """One epoch: snapshot → parallel advance → barrier → serial fire.
-
-        The scheduler thread blocks in :meth:`ShardWorkerPool.run_epoch`
-        until every worker finishes, so simulated time never advances
-        while a shard is mid-drain; all firing (conditions, actions,
-        re-partitions) then happens back on this thread.
-        """
-        segments, top = self._snapshot_segments()
-        if top is None:
-            return
-        if top > self._started_seq:
-            self._started_seq = top
-        buffers: list[list] = [[] for _ in range(self.n_shards)]
-        failed_at: list = [None] * self.n_shards
-        jobs = [
-            self._segment_job(si, segment, buffers[si], failed_at)
-            if segment else None
-            for si, segment in enumerate(segments)
-        ]
-        self._dispatch_depth += 1  # barrier installs must freeze placements
-        try:
-            try:
-                self.pool.run_epoch(jobs)
-            except BaseException:
-                # A shard failed mid-match.  Inline would have fired
-                # everything preceding the failure before raising — every
-                # earlier event, tie-broken copies of the failing event on
-                # lower shards, and the failing event's own pre-raise
-                # answers; do the same with the collected prefix, then
-                # propagate.
-                failures = [(seq, si) for si, seq in enumerate(failed_at)
-                            if seq is not None]
-                if failures:
-                    self._fire_merged(buffers, before=min(failures))
-                raise
-            self._fire_merged(buffers)
-        finally:
-            self._dispatch_depth -= 1
-            # Wake-up registration deferred from the workers: touched
-            # evaluators accumulated per engine; register on this thread.
-            for engine in self.engines:
-                if engine._touched:
-                    engine._schedule_wakeups()
-
-    def _fire_merged(self, buffers: list, before=None) -> None:
-        """Fire collected answers in global ``(arrival, install)`` order.
-
-        Each worker's buffer is already sorted by ``(seq, k)``; within one
-        event one shard fires — except ambiguous events, whose disjoint
-        per-shard answers interleave by installation order, combinator
-        winners after ungrouped answers, exactly as one engine's dispatch
-        emits them (within one shard that *is* ``k`` order, so the richer
-        key never reorders the single-shard case).  If a fired action
-        *uninstalls* a rule, answers that rule collected for later events
-        are skipped — inline, those events would have dispatched after
-        the uninstall and never reached it (answers for the same event
-        still fire: dispatch snapshots survive an uninstall inline too).
-        ``before`` is the error path's failure point, a ``(seq, shard)``
-        pair: rows of earlier events fire, rows of the failing event fire
-        only when their shard processed it no later than the failing
-        shard did in the inline tie-break (lowest shard first) — i.e. the
-        exact inline pre-failure prefix.
-        """
-        removed: dict[str, int] = {}  # rule name -> seq it disappeared at
-        names_before = self._named
-        order = self._plan.order
-        group_specs = self._group_specs
-        fallback = len(order)
-
-        def merge_key(row):
-            seq, k, _si, name = row[0], row[1], row[2], row[3]
-            return (seq, name in group_specs, order.get(name, fallback), k)
-
-        for seq, _k, si, name, rule, bindings in heapq.merge(
-                *buffers, key=merge_key):
-            if before is not None:
-                fseq, fsi = before
-                if seq > fseq:
-                    break
-                if seq == fseq and si > fsi:
-                    continue  # the failing event's not-yet-reached shards
-            dropped_at = removed.get(name)
-            if dropped_at is not None and seq > dropped_at:
-                continue
-            self.engines[si]._fire(rule, bindings)
-            if self._named is not names_before:
-                survivors = {have for have, _rule in self._named}
-                for have, _old in names_before:
-                    if have not in survivors:
-                        removed.setdefault(have, seq)
-                names_before = self._named
 
     # -- wake-ups -------------------------------------------------------------
 
@@ -1110,17 +862,32 @@ class ShardRouter:
         other replicas dedup.  ``coalesced_wakeups=False`` advances every
         active evaluator on every shard instead — the E14 ablation.
 
-        With the threaded executor the advances run as an epoch (each
-        engine's slice on its own worker, answers collected) and the
-        merged answers fire at the barrier in the same global order the
-        inline path interleaves them.
+        Combinator members may answer at a shared deadline on different
+        engines, so every engine buffers its grouped answers into one
+        list for the whole wake-up (rows land in advance order, i.e.
+        global installation order) and the groups are resolved once,
+        globally — a per-engine resolution would fire different groups'
+        winners in engine order instead.
         """
         self._pending_wakeups.discard(when)
         merged = self._due_rows(when)
-        if self.pool is not None and not self.node.sync_delivery:
-            advanced = self._advance_threaded(when, merged)
-        else:
-            advanced = self._advance_inline(when, merged)
+        time_primary = self._plan.time_primary
+        advanced: dict = {}
+        buffer: "list | None" = [] if self._group_specs else None
+        for engine in self.engines:
+            engine._group_buffer = buffer
+        self._dispatch_depth += 1  # installs from absence firings must freeze
+        try:
+            for _gseq, si, name, rule, evaluator, engine in merged:
+                engine.advance_evaluator(when, rule, evaluator,
+                                         fire=(si == time_primary[name]))
+                advanced[engine] = None
+            if buffer:
+                resolve_group_answers(buffer)
+        finally:
+            self._dispatch_depth -= 1
+            for engine in self.engines:
+                engine._group_buffer = None
         for engine in advanced:
             engine.stats.wakeups += 1
             engine._schedule_wakeups()
@@ -1129,8 +896,8 @@ class ShardRouter:
         """The evaluators to advance at *when*, in global firing order.
 
         Rows are ``(global install seq, host shard, name, rule, evaluator,
-        host engine)``, sorted by (seq, shard) — the order the inline path
-        advances and fires them in.
+        host engine)``, sorted by (seq, shard) — the order they are
+        advanced and fired in.
         """
         order = self._plan.order
         merged = []
@@ -1162,134 +929,6 @@ class ShardRouter:
                                evaluator, host))
         merged.sort(key=lambda row: (row[0], row[1]))
         return merged
-
-    def _advance_inline(self, when: float, merged: list) -> dict:
-        advanced: dict = {}
-        time_primary = self._plan.time_primary
-        self._dispatch_depth += 1  # installs from absence firings must freeze
-        try:
-            if self._group_specs:
-                # Combinator members may answer at a shared deadline on
-                # different engines: buffer every engine's grouped answers
-                # through the wake-up, then resolve the groups once,
-                # globally, in installation order — a per-engine
-                # resolution would fire different groups' winners in
-                # engine order instead.
-                buffered: dict = {}
-                for _gseq, _si, _name, _rule, _evaluator, engine in merged:
-                    if engine not in buffered:
-                        buffered[engine] = []
-                        engine._group_buffer = buffered[engine]
-                try:
-                    for _gseq, si, name, rule, evaluator, engine in merged:
-                        engine.advance_evaluator(when, rule, evaluator,
-                                                 fire=(si == time_primary[name]))
-                        advanced[engine] = None
-                finally:
-                    for engine in buffered:
-                        engine._group_buffer = None
-                order = self._plan.order
-                deferred = [
-                    (order[row[0]], engine, row)
-                    for engine, rows in buffered.items()
-                    for row in rows
-                ]
-                deferred.sort(key=lambda item: item[0])
-                if deferred:
-                    best: dict = {}
-                    for _gseq, _engine, (_name, _rule, _answers, spec) in deferred:
-                        gid, _kind, prec = spec
-                        if gid not in best or prec > best[gid]:
-                            best[gid] = prec
-                    for _gseq, engine, (name, rule, answers, spec) in deferred:
-                        gid, _kind, prec = spec
-                        if prec != best[gid]:
-                            engine.stats.firings_suppressed += len(answers)
-                            continue
-                        for answer in answers:
-                            engine._fire(rule, answer.bindings)
-            else:
-                for _gseq, si, name, rule, evaluator, engine in merged:
-                    engine.advance_evaluator(when, rule, evaluator,
-                                             fire=(si == time_primary[name]))
-                    advanced[engine] = None
-        finally:
-            self._dispatch_depth -= 1
-        return advanced
-
-    def _advance_job(self, si: int, when: float, rows: list, out: list,
-                     failed_at: list):
-        """Per-worker wake-up job: advance shard *si*'s due evaluators.
-
-        *rows* carries each evaluator's position in the merged global
-        order so the barrier can interleave the collected absence answers
-        exactly as the inline path fires them; a failing advance records
-        its position in ``failed_at[si]`` (the error path fires the
-        preceding prefix, as inline would have).
-        """
-        engine = self.engines[si]
-
-        def job() -> None:
-            for row_idx, rule, evaluator, fire in rows:
-                collected: list = []
-                engine.collector = collected
-                try:
-                    engine.advance_evaluator(when, rule, evaluator, fire=fire)
-                except BaseException:
-                    failed_at[si] = row_idx
-                    raise
-                finally:
-                    engine.collector = None
-                for k, (_name, r, b) in enumerate(collected):
-                    out.append((row_idx, k, si, r, b))
-
-        return job
-
-    def _advance_threaded(self, when: float, merged: list) -> dict:
-        if self._group_specs and any(
-                name in self._group_specs
-                for _gseq, _si, name, _rule, _evaluator, _host in merged):
-            # A grouped rule is due: winner resolution must see every
-            # engine's buffered answers for the instant, which the
-            # per-worker collect model cannot provide — run the instant
-            # inline (wake-ups are rare next to event dispatch, and
-            # correctness beats parallelism for one instant).
-            return self._advance_inline(when, merged)
-        advanced: dict = {}
-        time_primary = self._plan.time_primary
-        per_shard: list[list] = [[] for _ in range(self.n_shards)]
-        buffers: list[list] = [[] for _ in range(self.n_shards)]
-        failed_at: list = [None] * self.n_shards
-        for row_idx, (_gseq, si, name, rule, evaluator, host) in enumerate(merged):
-            per_shard[si].append((row_idx, rule, evaluator,
-                                  si == time_primary[name]))
-            advanced[host] = None
-        jobs = [
-            self._advance_job(si, when, rows, buffers[si], failed_at)
-            if rows else None
-            for si, rows in enumerate(per_shard)
-        ]
-
-        def fire_rows(before=None):
-            for row_idx, _k, si, rule, bindings in heapq.merge(
-                    *buffers, key=lambda row: row[:3]):
-                if before is not None and row_idx >= before:
-                    break
-                self.engines[si]._fire(rule, bindings)
-
-        self._dispatch_depth += 1  # installs from absence firings must freeze
-        try:
-            try:
-                self.pool.run_epoch(jobs)
-            except BaseException:
-                failures = [idx for idx in failed_at if idx is not None]
-                if failures:
-                    fire_rows(before=min(failures))
-                raise
-            fire_rows()
-        finally:
-            self._dispatch_depth -= 1
-        return advanced
 
     # -- introspection --------------------------------------------------------
 
@@ -1325,11 +964,6 @@ class ShardRouter:
         engine (``events_processed`` counts each shard's copy) — that is
         the point: the aggregate measures total fleet work, while
         ``firings_deduped`` shows how much of it was replica upkeep.
-
-        Safe to call from the scheduler thread at any time: with the
-        threaded executor, workers only run while the scheduler thread is
-        blocked inside an epoch's barrier, so reads from here never race
-        a worker's writes.
         """
         total = EngineStats()
         for engine in self.engines:
@@ -1339,13 +973,9 @@ class ShardRouter:
                     setattr(total, field_.name,
                             getattr(total, field_.name) + value)
         total.derived_events += self.derived_events
-        total.executor = self.executor_name
         # Live switch counters sit on the evaluators, not in engine.stats
         # (the summed field is always 0) — stamp the snapshot here.
         total.evaluator_switches = self.evaluator_switches()
-        if self.pool is not None:
-            total.epochs = self.pool.epochs
-            total.barrier_wait_s = self.pool.barrier_wait_s
         return total
 
     def shard_stats(self) -> tuple[EngineStats, ...]:
@@ -1354,7 +984,6 @@ class ShardRouter:
             replace(engine.stats,
                     inbox_depth=len(self._inboxes[si]),
                     inbox_peak=self.inbox_peaks[si],
-                    executor=self.executor_name,
                     evaluator_switches=engine.evaluator_switches())
             for si, engine in enumerate(self.engines)
         )

@@ -36,10 +36,10 @@ Two entry points evaluate a pattern:
 Both entry points bump a call counter (:func:`matcher_call_count`) that
 engines snapshot around evaluator calls to attribute matching work to
 dispatch (``EngineStats.matcher_calls``).  The counter is *thread-local*:
-with the threaded shard executor (``EngineConfig(executor="threads")``)
-several workers match concurrently, and each engine's before/after delta
-must see only its own worker's calls — a shared global would double-count
-across shards and tear under concurrent increments.
+simulations driven from different threads of one process match
+concurrently, and each engine's before/after delta must see only its own
+thread's calls — a shared global would double-count across them and tear
+under concurrent increments.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from repro.terms.ast import (
 
 
 class _MatcherCounter(threading.local):
-    """Per-thread matcher-call tally (fresh zero in every worker thread)."""
+    """Per-thread matcher-call tally (fresh zero in every thread)."""
 
     def __init__(self) -> None:
         self.n = 0
@@ -84,7 +84,7 @@ def matcher_call_count() -> int:
 
     Monotonic per thread; engines snapshot it around evaluator calls to
     compute the per-dispatch delta for ``EngineStats.matcher_calls`` —
-    thread-local so concurrent shard workers never see each other's calls.
+    thread-local so concurrent simulations never see each other's calls.
     """
     return _matcher_calls.n
 

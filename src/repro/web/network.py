@@ -52,10 +52,9 @@ class TrafficStats:
     ``rtt_charged`` accounts the simulated request/response latency of
     synchronous GETs (two latencies per fetch) — surfaced here (and thus
     via ``Simulation.stats``) instead of living as an ad-hoc attribute on
-    the network.  Mutation is serialised by an internal lock so the
-    counters stay coherent alongside the threaded shard executor's other
-    shared-state locking (actions normally run on the scheduler thread,
-    but the traffic ledger is shared by every node and layer).
+    the network.  Mutation is serialised by an internal lock: actions
+    normally run on the scheduler thread, but the traffic ledger is
+    shared by every node and layer, so it keeps its own counters coherent.
     """
 
     messages: int = 0

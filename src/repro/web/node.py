@@ -48,18 +48,9 @@ of two queue layers: the node's registered handler is a
 to per-shard FIFO inboxes and merge-drains those in global arrival order.
 The node-level contract above is unchanged — arrival stamping, FIFO
 order, and backpressure accounting happen here; the router only adds the
-partitioning.  (``sync_delivery=True`` stays inline end-to-end: the
-router drains the shard inboxes immediately inside the hand-off, so a
-sync-raised event is processed nested inside the raising action exactly
-as a single engine would.)
-
-With ``executor="threads"`` the router's drain additionally becomes an
-epoch: per-shard worker threads advance the shard engines in parallel
-while the scheduler thread blocks at a barrier, then fire the collected
-answers serially (see :mod:`repro.runtime`).  Nothing changes at this
-layer — the node inbox, timestamps, and handler contract are identical,
-and all node/resource/network mutation still happens on the scheduler
-thread.
+partitioning.  (Sharding requires this queued model:
+``EngineConfig(sync_delivery=True, shards>1)`` is rejected at
+construction.)
 """
 
 from __future__ import annotations

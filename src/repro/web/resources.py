@@ -28,12 +28,10 @@ URI continues counting from there instead of restarting at 1, so
 version-based change detection never sees time run backwards.
 
 Thread-safety: all mutation and snapshot/restore paths are serialised by
-an internal re-entrant lock.  With the threaded shard executor
-(``EngineConfig(executor="threads")``) actions only ever run on the
-scheduler thread at the epoch barrier, but the store is the one structure
-shared by every layer (engine actions, polling, identity monitors,
-application callbacks), so it guards itself rather than trusting every
-caller.
+an internal re-entrant lock.  Rule actions only ever run on the scheduler
+thread, but the store is the one structure shared by every layer (engine
+actions, polling, identity monitors, application callbacks), so it guards
+itself rather than trusting every caller.
 """
 
 from __future__ import annotations

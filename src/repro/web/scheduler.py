@@ -13,13 +13,12 @@ instant, so timestamps never shift) and the shard router's merge drains
 land *after* everything already queued for the instant — that ordering is
 what keeps batched sharded runs identical to unbatched ones.
 
-The scheduler itself is **single-threaded by contract**: with the
-threaded shard executor (``EngineConfig(executor="threads")``) worker
-threads advance evaluators in parallel, but everything that touches the
-clock — firing, wake-up registration, message delivery — happens on the
-owning thread at the epoch barrier.  :meth:`Scheduler.at` enforces the
-contract (it raises when called from a foreign thread) so a coordination
-bug surfaces as a loud error instead of a heap race.
+The scheduler itself is **single-threaded by contract**: everything that
+touches the clock — firing, wake-up registration, message delivery —
+happens on the one thread driving the simulation.  :meth:`Scheduler.at`
+enforces the contract (it raises when called from a foreign thread) so
+an application that feeds a node from its own threads gets a loud error
+instead of a heap race.
 """
 
 from __future__ import annotations
@@ -43,10 +42,8 @@ class Scheduler:
         # The thread that owns this clock: bound lazily at the first
         # schedule and re-bound to whichever thread drives
         # run()/run_until() — so serial construct-here-drive-there use
-        # stays legal.  Shard worker threads must never schedule directly
-        # (the router defers their wake-ups to the barrier), and they are
-        # exactly what this guard catches: workers only ever exist while
-        # the owning thread is blocked inside a run loop it just bound.
+        # stays legal, while a second thread scheduling *during* a run
+        # (the heap race this guard exists for) is caught.
         self._owner: "int | None" = None
 
     def at(self, time: float, callback: Callable[[], None]) -> None:
@@ -57,8 +54,7 @@ class Scheduler:
         elif ident != self._owner:
             raise WebError(
                 "scheduler is single-threaded: schedule from the owning "
-                "(simulation) thread; shard workers must defer effects to "
-                "the epoch barrier (repro.runtime)"
+                "(simulation) thread"
             )
         if time < self.now:
             raise WebError(f"cannot schedule in the past: {time} < {self.now}")

@@ -328,12 +328,6 @@ class TestNodeStatsNamespace:
         assert len(stats.shards) == 3
         assert sum(s.rule_firings for s in stats.shards) == 1
 
-    def test_deprecated_aliases_match_the_sub_views(self):
-        node = self._fired_node(config=EngineConfig(shards=2))
-        stats = node.stats
-        assert node.shard_stats == stats.shards
-        assert node.ingest_stats is stats.ingest is None
-
     def test_evaluator_knob_reaches_the_facade(self):
         from repro.events import TreeEvaluator
 

@@ -1,7 +1,10 @@
 """Discriminating event dispatch: interest computation and engine routing."""
 
+import pytest
+
 from repro.core import EngineConfig, ReactiveEngine, eca
 from repro.core.actions import PyAction
+from repro.errors import RuleError
 from repro.events.queries import (
     Discriminator,
     EAggregate,
@@ -133,11 +136,13 @@ class TestDiscriminatingRouting:
 
     def test_root_label_ablation_considers_whole_bucket(self):
         sim, node, engine, seen = self._engine_with_symbol_rules(
-            discriminating_index=False)
+            trie_depth=0)
         node.raise_local(parse_data('stock{ sym["ACME"], price[10] }'))
         sim.run()
         assert seen == ["ACME"]
         assert engine.stats.candidates_considered == 2
+        with pytest.raises(RuleError, match="trie_depth must be >= 0"):
+            EngineConfig(trie_depth=-1)
 
     def test_event_without_the_axis_reaches_residual_only(self):
         sim, node, engine, seen = self._engine_with_symbol_rules()
@@ -200,7 +205,7 @@ class TestDiscriminatingRouting:
             return seen, engine.stats.rule_firings
 
         discriminating = run()
-        root_only = run(discriminating_index=False)
+        root_only = run(trie_depth=0)
         broadcast = run(indexed_dispatch=False)
         assert discriminating == root_only == broadcast
 

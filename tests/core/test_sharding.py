@@ -26,6 +26,14 @@ class TestConfigSurface:
         with pytest.raises(RuleError, match="shards"):
             EngineConfig(shards=0)
 
+    def test_sync_delivery_with_shards_is_rejected(self):
+        with pytest.raises(RuleError, match="sync_delivery=True cannot be "
+                                            "combined with shards=2"):
+            EngineConfig(sync_delivery=True, shards=2)
+        # Each half alone stays legal, as does forcing queued delivery.
+        EngineConfig(sync_delivery=True)
+        EngineConfig(sync_delivery=False, shards=2)
+
     def test_bare_engine_rejects_sharded_config(self):
         sim = Simulation(latency=0.0)
         with pytest.raises(RuleError, match="facade"):
@@ -43,13 +51,13 @@ class TestConfigSurface:
         assert node.router is None
         assert isinstance(node.engine, ReactiveEngine)
         assert node.shards == (node.engine,)
-        assert len(node.shard_stats) == 1
+        assert len(node.stats.shards) == 1
 
     def test_sharded_facade_exposes_fleet(self):
         sim, node = sharded_node(3)
         assert node.engine is None
         assert len(node.shards) == 3
-        assert len(node.shard_stats) == 3
+        assert len(node.stats.shards) == 3
         assert "shards=3" in repr(node)
 
     def test_shard_of_is_stable(self):
@@ -131,14 +139,13 @@ class TestAmbiguousRouting:
         assert fired == [0, 1, 4, 5]  # every V0/V1 rule once, install order
         assert node.stats.rule_firings == 4
         # The copies on the other shards advanced replicas without firing.
-        assert sum(s.events_processed for s in node.shard_stats) == 4
+        assert sum(s.events_processed for s in node.stats.shards) == 4
 
-    def test_ambiguous_event_under_threads_matches_inline(self):
-        def run(executor):
+    def test_ambiguous_event_sharded_matches_single_engine(self):
+        def run(shards):
             sim = Simulation(latency=0.0)
             node = sim.reactive_node(
-                "http://s.example",
-                config=EngineConfig(shards=4, executor=executor))
+                "http://s.example", config=EngineConfig(shards=shards))
             fired = []
             node.install(*(
                 eca(f"r{i}",
@@ -153,8 +160,8 @@ class TestAmbiguousRouting:
             sim.run()
             return fired, node.stats.rule_firings
 
-        assert run("threads") == run("inline")
-        assert run("inline")[0] == [1, 3, 5, 7, 2, 6]
+        assert run(4) == run(1)
+        assert run(1)[0] == [1, 3, 5, 7, 2, 6]
 
 
 class TestExactlyOnceFiring:
@@ -446,68 +453,6 @@ class TestOrderEquivalenceCorners:
 
         assert run(2) == run(1)
 
-    def test_sync_delivery_nested_raise_matches_single_engine(self):
-        """Regression: with sync_delivery a locally raised event is
-        dispatched nested inside the raising action; the router must drain
-        inline, not defer to the scheduler."""
-        from repro.core.actions import Raise
-
-        def run(shards):
-            sim = Simulation(latency=0.0)
-            config = EngineConfig(sync_delivery=True,
-                                  **({"shards": shards} if shards > 1 else {}))
-            node = sim.reactive_node("http://s.example", config=config)
-            fired = []
-            node.install(
-                eca("A", EAtom(q("x", Var("V"))),
-                    PyAction(lambda n, b: (fired.append("A"),
-                                           n.raise_local(d("y", 1))), "raise")),
-                eca("B", EAtom(q("x", Var("V"))), recorder(fired, "B")),
-                eca("C", EAtom(q("y", Var("V"))), recorder(fired, "C")),
-            )
-            node.raise_local(d("x", 0))
-            sim.run()
-            return fired
-
-        assert run(1) == ["A", "C", "B"]  # nested dispatch, mid-event
-        assert run(2) == run(1)
-        assert run(4) == run(1)
-
-    def test_sync_nested_raise_with_replicated_rule_fires_once(self):
-        """Regression: with sync_delivery, a cross-shard conjunction whose
-        second event is raised mid-action must fire exactly once — a
-        nested drain must not hand the replicas the in-flight and the
-        raised event in opposite orders (each completing on its own
-        firing copy)."""
-        from repro.core.actions import Raise
-        from repro.events import EAnd
-
-        def run(shards):
-            sim = Simulation(latency=0.0)
-            config = EngineConfig(sync_delivery=True,
-                                  **({"shards": shards} if shards > 1 else {}))
-            node = sim.reactive_node("http://s.example", config=config)
-            fired = []
-            node.install(
-                eca("r1", EAtom(q("stock", q("p", Var("P")))),
-                    PyAction(lambda n, b: (fired.append("r1"),
-                                           n.raise_local(d("foo", 1))),
-                             "raise")),
-                # Spans home(stock) and home(foo): replicated, so a copy of
-                # the stock event is still queued when r1 sync-raises foo.
-                eca("r2", EWithin(EAnd(EAtom(q("stock")), EAtom(q("foo"))),
-                                  10.0),
-                    recorder(fired, "r2")),
-            )
-            node.raise_local(d("stock", d("p", 1.0)))
-            sim.run()
-            return fired, node.stats.rule_firings
-
-        single = run(1)
-        assert single == (["r1", "r2"], 2)
-        for shards in (2, 4):
-            assert run(shards) == single
-
 
 class TestFairnessKnob:
     def test_inbox_batch_bounds_per_shard_drain_work(self):
@@ -548,9 +493,108 @@ class TestProceduresAndStats:
         node.raise_local(d("b", 0))
         sim.run()
         assert node.stats.rule_firings == 4
-        per_shard = node.shard_stats
+        per_shard = node.stats.shards
         assert sum(s.rule_firings for s in per_shard) == 4
         assert sum(s.events_processed for s in per_shard) == \
             node.stats.events_processed
         # Per-shard inbox peaks reflect each shard's own queue.
         assert all(s.inbox_peak >= 1 for s in per_shard)
+
+    def test_matcher_call_attribution_sums_to_single_engine(self):
+        """Per-shard matcher-call deltas must add up to exactly the work
+        one engine does on the same stream (disjoint labels: no replica
+        ever re-matches an event)."""
+        def run(shards):
+            sim = Simulation(latency=0.0)
+            node = sim.reactive_node("http://t.example",
+                                     config=EngineConfig(shards=shards))
+            node.install(
+                eca("a", EAtom(q("a", q("v", Var("V")))), recorder([], "a")),
+                eca("b", EAtom(q("b", q("v", Var("V")))), recorder([], "b")),
+            )
+            for i in range(5):
+                node.raise_local(d("a", d("v", i)))
+                node.raise_local(d("b", d("v", i)))
+            sim.run()
+            return [s.matcher_calls for s in node.stats.shards]
+
+        (single,) = run(1)
+        sharded = run(2)
+        assert single > 0
+        assert sum(sharded) == single
+        assert sharded[0] == sharded[1]  # one label's rule per shard
+
+
+class TestMidInstant:
+    """Same-instant corners where firing interleaves with routing: the
+    sharded node must reproduce the single engine exactly."""
+
+    def test_mid_instant_uninstall_skips_later_events(self):
+        from repro.core.actions import UninstallRule
+
+        def run(**config_kwargs):
+            sim = Simulation(latency=0.0)
+            node = sim.reactive_node("http://t.example",
+                                     config=EngineConfig(**config_kwargs))
+            fired = []
+            node.install(
+                eca("killer", EAtom(q("kill", Var("V"))),
+                    UninstallRule("victim")),
+                eca("victim", EAtom(q("x", Var("V"))),
+                    recorder(fired, "victim")),
+                eca("bystander", EAtom(q("x", Var("V"))),
+                    recorder(fired, "bystander")),
+            )
+            # Same instant, one drain: x, kill, x — the second x must not
+            # reach the victim (the kill fired between them).
+            sim.scheduler.at(1.0, lambda: node.raise_local(d("x", 1)))
+            sim.scheduler.at(1.0, lambda: node.raise_local(d("kill", 0)))
+            sim.scheduler.at(1.0, lambda: node.raise_local(d("x", 2)))
+            sim.run()
+            return fired
+
+        single = run()
+        assert single == ["victim", "bystander", "bystander"]
+        assert run(shards=3) == single
+
+    @staticmethod
+    def _run_until_matcher_error(events, **config_kwargs):
+        """Install ``ok`` (on *events[0]*'s label) before ``boom`` (on
+        label ``b``, whose query raises QueryError when matched: unbound
+        comparison operand), raise *events* at one instant."""
+        from repro.errors import QueryError
+        from repro.terms import Compare
+
+        sim = Simulation(latency=0.0)
+        node = sim.reactive_node("http://t.example",
+                                 config=EngineConfig(**config_kwargs))
+        fired = []
+        node.install(
+            eca("ok", EAtom(q(events[0].label, Var("V"))),
+                recorder(fired, "ok")),
+            eca("boom", EAtom(q("b", q("v", Compare(">", Var("U"))))),
+                recorder(fired, "boom")),
+        )
+        for term in events:
+            sim.scheduler.at(1.0, lambda t=term: node.raise_local(t))
+        try:
+            sim.run()
+        except QueryError:
+            return fired, True
+        return fired, False
+
+    def test_failing_shard_still_fires_the_pre_failure_prefix(self):
+        """A matcher error on one shard must not swallow the firings of
+        events that logically precede it."""
+        events = [d("a", 1), d("b", d("v", 5))]
+        single = self._run_until_matcher_error(events)
+        assert single == (["ok"], True)
+        assert self._run_until_matcher_error(events, shards=2) == single
+
+    def test_failing_event_own_earlier_answers_still_fire(self):
+        """Within the failing event itself, a rule installed *before* the
+        raising one has already fired when the error propagates."""
+        events = [d("b", d("v", 5))]
+        single = self._run_until_matcher_error(events)
+        assert single == (["ok"], True)
+        assert self._run_until_matcher_error(events, shards=2) == single

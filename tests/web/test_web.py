@@ -1,5 +1,7 @@
 """Unit tests for the simulated Web substrate."""
 
+import threading
+
 import pytest
 
 from repro.errors import NodeNotFound, ResourceNotFound, WebError
@@ -76,6 +78,68 @@ class TestScheduler:
         scheduler.after(0.1, loop)
         with pytest.raises(WebError):
             scheduler.run(max_callbacks=100)
+
+
+class TestSchedulerThreadAffinity:
+    """The clock is single-threaded by contract; `Scheduler.at` enforces it."""
+
+    @staticmethod
+    def _schedule_from_foreign_thread(scheduler):
+        """Try to schedule from a fresh thread; return the WebError texts."""
+        caught = []
+
+        def schedule():
+            try:
+                scheduler.soon(lambda: None)
+            except WebError as exc:
+                caught.append(str(exc))
+
+        thread = threading.Thread(target=schedule)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        return caught
+
+    def test_foreign_thread_schedule_is_rejected(self):
+        scheduler = Scheduler()
+        scheduler.at(1.0, lambda: None)  # binds ownership to this thread
+        caught = self._schedule_from_foreign_thread(scheduler)
+        assert caught and "single-threaded" in caught[0]
+        scheduler.at(3.0, lambda: None)  # the owner may, of course
+
+    def test_foreign_thread_cannot_touch_the_clock_mid_run(self):
+        """run() binds ownership to the driving thread: a helper thread
+        spawned by a callback is foreign while the run loop is live."""
+        scheduler = Scheduler()
+        caught = []
+        scheduler.at(1.0, lambda: caught.extend(
+            self._schedule_from_foreign_thread(scheduler)))
+        scheduler.run()
+        assert caught and "single-threaded" in caught[0]
+        assert scheduler.pending() == 0  # the foreign callback never landed
+
+    def test_serial_cross_thread_driving_stays_legal(self):
+        """A simulation built on one thread and *driven* from another is
+        still single-threaded use: run() re-binds clock ownership to the
+        driving thread."""
+        sim = Simulation(latency=0.05)
+        a = sim.node("http://a.example")
+        b = sim.node("http://b.example")
+        failures = []
+
+        def drive():
+            try:
+                a.raise_event("http://b.example", d("ping", 1))
+                sim.run()
+            except Exception as exc:  # noqa: BLE001 - reported to the test
+                failures.append(exc)
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert failures == []
+        assert b.events_received == 1
 
 
 class TestNetwork:

@@ -123,7 +123,7 @@ def main() -> None:
                                                 sent_at=now),
         events=50_000, per_tick=500, dt=0.01)
     sim.run(max_callbacks=10_000_000)
-    stats = node.ingest_stats
+    stats = node.stats.ingest
     print(f"offered     {gen.offered}")
     print(f"accepted    {gen.accepted}")
     print(f"rate-limited{stats.rate_limited:>8}")

@@ -97,8 +97,8 @@ def dump_engine(engine, out=None, verbose: bool = False,
     if out is None:
         out = sys.stdout
     config = engine.config
-    cap = ("off (root-label ablation)" if not config.discriminating_index
-           else "unbounded" if config.trie_depth is None
+    cap = ("unbounded" if config.trie_depth is None
+           else "0 (root-label ablation)" if config.trie_depth == 0
            else str(config.trie_depth))
     print(f"{title}: {len(engine.rules())} rule(s), "
           f"{len(engine._index)} label trie(s), depth cap {cap}", file=out)
