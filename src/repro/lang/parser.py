@@ -1,6 +1,6 @@
 """Parser for the surface rule language.
 
-Builds on the term tokenizer/parser: rule keywords are UPPER-CASE
+Builds on the term lexer/parser: rule keywords are UPPER-CASE
 identifiers, term patterns are parsed by the inherited term grammar from
 the same token stream.
 
@@ -59,9 +59,7 @@ from repro.events.queries import (
     EWithin,
 )
 from repro.terms.ast import Var
-from repro.terms.parser import _Parser
-
-_CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
+from repro.terms.parser import _END, _Parser, _kind
 
 _AGG_FNS = ("count", "sum", "avg", "min", "max")
 
@@ -71,67 +69,43 @@ class _RuleParser(_Parser):
 
     # -- small helpers -----------------------------------------------------------
 
-    def _at_kw(self, word: str) -> bool:
-        token = self._peek()
-        return token.kind == "ident" and token.value == word
-
-    def _eat_kw(self, word: str) -> bool:
-        if self._at_kw(word):
-            self._advance()
-            return True
-        return False
-
-    def _expect_kw(self, word: str) -> None:
-        token = self._peek()
-        if not self._eat_kw(word):
-            raise ParseError(
-                f"expected {word!r}, found {token.value or token.kind!r}",
-                token.position, token.line,
-            )
-
     def _name(self) -> str:
         return self._expect_label()
 
     def _uri(self) -> "str | Var":
-        token = self._peek()
-        if token.kind == "string":
-            return self._advance().value
-        if self._at_keyword("var"):
-            self._advance()
-            return Var(self._expect("ident").value)
-        raise ParseError(
-            f"expected a URI string or var, found {token.value or token.kind!r}",
-            token.position, token.line,
-        )
+        if self._eat("var"):
+            return Var(self._take("ident"))
+        if _kind(self._tokens[self._index]) != "string":
+            raise self._expected("a URI string or var")
+        return self._take("string")
 
     def _number(self) -> float:
-        token = self._expect("number")
-        return float(token.value)
+        return float(self._take("number"))
 
     def _int(self) -> int:
-        token = self._expect("number")
+        number = self._take("number")
         try:
-            return int(token.value)
+            return int(number)
         except ValueError as exc:
-            raise ParseError(f"expected an integer, found {token.value!r}",
-                             token.position, token.line) from exc
+            raise self._error(f"expected an integer, found {number!r}",
+                              self._index - 1) from exc
 
     # -- events -------------------------------------------------------------------
 
     def parse_event(self):
         members = [self._event_seq()]
-        while self._eat_kw("OR"):
+        while self._eat("OR"):
             members.append(self._event_seq())
         return members[0] if len(members) == 1 else EOr(*members)
 
     def _event_seq(self):
         members = [self._event_conj()]
         has_seq = False
-        while self._eat_kw("THEN"):
+        while self._eat("THEN"):
             has_seq = True
-            if self._eat_kw("NOT"):
+            if self._eat("NOT"):
                 members.append(ENot(self.parse_query()))
-                if self._eat_kw("THEN"):
+                if self._eat("THEN"):
                     members.append(self._event_conj())
             else:
                 members.append(self._event_conj())
@@ -139,216 +113,199 @@ class _RuleParser(_Parser):
 
     def _event_conj(self):
         members = [self._event_prim()]
-        while self._eat_kw("AND"):
+        while self._eat("AND"):
             members.append(self._event_prim())
         return members[0] if len(members) == 1 else EAnd(*members)
 
     def _event_prim(self):
-        if self._eat_kw("WITHIN"):
+        if self._eat("WITHIN"):
             window = self._number()
-            self._expect("punct", "(")
+            self._expect("(")
             inner = self.parse_event()
-            self._expect("punct", ")")
+            self._expect(")")
             return EWithin(inner, window)
-        if self._eat_kw("COUNT"):
+        if self._eat("COUNT"):
             n = self._int()
-            self._expect_kw("OF")
+            self._expect("OF")
             pattern = self.parse_query()
-            self._expect_kw("WITHIN")
+            self._expect("WITHIN")
             window = self._number()
             group = self._group_by()
             return ECount(pattern, n, window, group)
-        if self._eat_kw("AGG"):
-            fn = self._expect("ident").value
+        if self._eat("AGG"):
+            fn = self._take("ident")
             if fn not in _AGG_FNS:
                 raise ParseError(f"unknown aggregate function {fn!r}")
-            self._expect("ident", "var")
-            on = self._expect("ident").value
-            self._expect_kw("OF")
+            self._expect("var")
+            on = self._take("ident")
+            self._expect("OF")
             pattern = self.parse_query()
             size = None
             window = None
-            if self._eat_kw("LAST"):
+            if self._eat("LAST"):
                 size = self._int()
             else:
-                self._expect_kw("WITHIN")
+                self._expect("WITHIN")
                 window = self._number()
-            self._expect_kw("INTO")
-            self._expect("ident", "var")
-            into = self._expect("ident").value
+            self._expect("INTO")
+            self._expect("var")
+            into = self._take("ident")
             group = self._group_by()
             predicate = None
-            if self._eat_kw("RISE"):
+            if self._eat("RISE"):
                 predicate = ("rise%", self._number())
-            elif self._eat_kw("WHEN"):
-                op = self._expect("cmp").value
+            elif self._eat("WHEN"):
+                op = self._take("cmp")
                 predicate = (op, self._number())
             return EAggregate(pattern, on, fn, into, size=size, window=window,
                               group_by=group, predicate=predicate)
-        if self._at_punct("("):
-            self._advance()
+        if self._eat("("):
             inner = self.parse_event()
-            self._expect("punct", ")")
+            self._expect(")")
             return inner
         pattern = self.parse_query()
         alias = None
-        if self._eat_kw("AS"):
-            self._expect("ident", "var")
-            alias = self._expect("ident").value
+        if self._eat("AS"):
+            self._expect("var")
+            alias = self._take("ident")
         return EAtom(pattern, alias=alias)
 
     def _group_by(self) -> tuple[str, ...]:
-        if not self._eat_kw("BY"):
+        if not self._eat("BY"):
             return ()
-        self._expect("punct", "[")
-        names = []
-        while not self._at_punct("]"):
-            names.append(self._expect("ident").value)
-            if not self._eat_punct(","):
-                break
-        self._expect("punct", "]")
-        return tuple(names)
+        self._expect("[")
+        return self._children(lambda: self._take("ident"), "]")
 
     # -- conditions -------------------------------------------------------------------
 
     def parse_condition(self):
         members = [self._cond_and()]
-        while self._eat_kw("OR"):
+        while self._eat("OR"):
             members.append(self._cond_and())
         return members[0] if len(members) == 1 else cond.OrCond(*members)
 
     def _cond_and(self):
         members = [self._cond_prim()]
-        while self._eat_kw("AND"):
+        while self._eat("AND"):
             members.append(self._cond_prim())
         return members[0] if len(members) == 1 else cond.AndCond(*members)
 
     def _cond_prim(self):
-        if self._eat_kw("TRUE"):
+        if self._eat("TRUE"):
             return cond.TrueCond()
-        if self._eat_kw("NOT"):
+        if self._eat("NOT"):
             return cond.NotCond(self._cond_prim())
-        if self._at_punct("("):
-            self._advance()
+        if self._eat("("):
             inner = self.parse_condition()
-            self._expect("punct", ")")
+            self._expect(")")
             return inner
-        if self._eat_kw("IN"):
+        if self._eat("IN"):
             uri = self._uri()
-            self._expect("punct", ":")
+            self._expect(":")
             query = self.parse_query()
             return cond.QueryCond(uri, query)
         # comparison: construct op construct
         lhs = self.parse_construct()
-        token = self._peek()
-        if token.kind != "cmp":
-            raise ParseError(
-                f"expected a comparison operator, found {token.value or token.kind!r}",
-                token.position, token.line,
-            )
-        op = self._advance().value
+        if _kind(self._tokens[self._index]) != "cmp":
+            raise self._expected("a comparison operator")
+        op = self._take("cmp")
         rhs = self.parse_construct()
         return cond.CompareCond(lhs, op, rhs)
 
     # -- actions -----------------------------------------------------------------------
 
     def parse_action(self):
-        if self._eat_kw("SEQUENCE"):
+        if self._eat("SEQUENCE"):
             steps = [self.parse_action()]
-            while self._eat_kw("ALSO"):
+            while self._eat("ALSO"):
                 steps.append(self.parse_action())
-            self._expect_kw("END")
-            atomic = not self._eat_kw("NONATOMIC")
+            self._expect("END")
+            atomic = not self._eat("NONATOMIC")
             return act.Sequence(*steps, atomic=atomic)
-        if self._eat_kw("TRY"):
+        if self._eat("TRY"):
             options = [self.parse_action()]
-            while self._eat_kw("ELSETRY"):
+            while self._eat("ELSETRY"):
                 options.append(self.parse_action())
-            self._expect_kw("END")
+            self._expect("END")
             return act.Alternative(*options)
-        if self._eat_kw("WHEN"):
+        if self._eat("WHEN"):
             condition = self.parse_condition()
-            self._expect_kw("THEN")
+            self._expect("THEN")
             then = self.parse_action()
-            otherwise = self.parse_action() if self._eat_kw("ELSE") else None
-            self._expect_kw("END")
+            otherwise = self.parse_action() if self._eat("ELSE") else None
+            self._expect("END")
             return act.Conditional(condition, then, otherwise)
-        if self._eat_kw("RAISE"):
-            self._expect_kw("TO")
+        if self._eat("RAISE"):
+            self._expect("TO")
             to = self._uri()
             return act.Raise(to, self.parse_construct())
-        if self._eat_kw("INSERT"):
+        if self._eat("INSERT"):
             payload = self.parse_construct()
-            self._expect_kw("INTO")
+            self._expect("INTO")
             uri = self._uri()
-            self._expect_kw("AT")
+            self._expect("AT")
             target = self.parse_query()
-            position = "start" if self._eat_kw("START") else "end"
+            position = "start" if self._eat("START") else "end"
             return act.Update(uri, "insert", target, payload, position)
-        if self._eat_kw("DELETE"):
+        if self._eat("DELETE"):
             target = self.parse_query()
-            self._expect_kw("FROM")
+            self._expect("FROM")
             return act.Update(self._uri(), "delete", target)
-        if self._eat_kw("REPLACE"):
+        if self._eat("REPLACE"):
             target = self.parse_query()
-            self._expect_kw("IN")
+            self._expect("IN")
             uri = self._uri()
-            self._expect_kw("BY")
+            self._expect("BY")
             return act.Update(uri, "replace", target, self.parse_construct())
-        if self._eat_kw("PUT"):
+        if self._eat("PUT"):
             uri = self._uri()
             return act.PutResource(uri, self.parse_construct())
-        if self._eat_kw("DELETERESOURCE"):
+        if self._eat("DELETERESOURCE"):
             return act.DeleteResource(self._uri())
-        if self._eat_kw("PERSIST"):
+        if self._eat("PERSIST"):
             content = self.parse_construct()
-            self._expect_kw("INTO")
+            self._expect("INTO")
             uri = self._uri()
-            root = self._name() if self._eat_kw("ROOT") else "log"
+            root = self._name() if self._eat("ROOT") else "log"
             return act.Persist(uri, content, root)
-        if self._eat_kw("CALL"):
+        if self._eat("CALL"):
             name = self._name()
             args = []
-            if self._eat_punct("("):
-                while not self._at_punct(")"):
-                    param = self._expect("ident").value
-                    self._expect("eq")
+            if self._eat("("):
+                while not self._at(")"):
+                    param = self._take("ident")
+                    self._take("eq")
                     args.append((param, self.parse_construct()))
-                    if not self._eat_punct(","):
+                    if not self._eat(","):
                         break
-                self._expect("punct", ")")
+                self._expect(")")
             return act.CallProcedure(name, tuple(args))
-        if self._eat_kw("INSTALL"):
+        if self._eat("INSTALL"):
             return act.InstallRule(self.parse_construct())
-        if self._eat_kw("UNINSTALL"):
-            if self._at_keyword("var"):
-                self._advance()
-                return act.UninstallRule(Var(self._expect("ident").value))
+        if self._eat("UNINSTALL"):
+            if self._eat("var"):
+                return act.UninstallRule(Var(self._take("ident")))
             return act.UninstallRule(self._name())
-        token = self._peek()
-        raise ParseError(
-            f"expected an action keyword, found {token.value or token.kind!r}",
-            token.position, token.line,
-        )
+        raise self._expected("an action keyword")
 
     # -- rules -------------------------------------------------------------------------
 
     def parse_one_rule(self) -> ECARule:
-        self._expect_kw("RULE")
+        self._expect("RULE")
         name = self._name()
-        firing = "first" if self._eat_kw("FIRST") else "all"
-        self._expect_kw("ON")
+        firing = "first" if self._eat("FIRST") else "all"
+        self._expect("ON")
         event = self.parse_event()
         branches = []
         otherwise = None
-        while self._eat_kw("IF"):
+        while self._eat("IF"):
             condition = self.parse_condition()
-            self._expect_kw("DO")
+            self._expect("DO")
             branches.append((condition, self.parse_action()))
         if not branches:
-            self._expect_kw("DO")
+            self._expect("DO")
             branches.append((None, self.parse_action()))
-        if self._eat_kw("ELSE"):
+        if self._eat("ELSE"):
             otherwise = self.parse_action()
         return ECARule(name, event, tuple(branches), otherwise, firing)
 
@@ -356,21 +313,14 @@ class _RuleParser(_Parser):
         """Yield rules / (name, params, action) procedures / RuleSets."""
         items = []
         while True:
-            if self._at_kw("RULE"):
+            if self._at("RULE"):
                 items.append(self.parse_one_rule())
-            elif self._at_kw("PROCEDURE"):
-                self._advance()
+            elif self._eat("PROCEDURE"):
                 name = self._name()
-                params = []
-                self._expect("punct", "(")
-                while not self._at_punct(")"):
-                    params.append(self._expect("ident").value)
-                    if not self._eat_punct(","):
-                        break
-                self._expect("punct", ")")
-                items.append(("procedure", name, tuple(params), self.parse_action()))
-            elif self._at_kw("RULESET"):
-                self._advance()
+                self._expect("(")
+                params = self._children(lambda: self._take("ident"), ")")
+                items.append(("procedure", name, params, self.parse_action()))
+            elif self._eat("RULESET"):
                 name = self._name()
                 ruleset = RuleSet(name)
                 for item in self.parse_program_items(toplevel=False):
@@ -381,18 +331,14 @@ class _RuleParser(_Parser):
                         _merge_ruleset(child, item)
                     else:
                         raise ParseError("procedures must be declared at top level")
-                self._expect_kw("END")
+                self._expect("END")
                 items.append(ruleset)
             else:
                 if not toplevel:
                     return items
-                token = self._peek()
-                if token.kind == "end":
+                if self._at(_END):
                     return items
-                raise ParseError(
-                    f"expected RULE/PROCEDURE/RULESET, found {token.value or token.kind!r}",
-                    token.position, token.line,
-                )
+                raise self._expected("RULE/PROCEDURE/RULESET")
 
 
 def _merge_ruleset(target: RuleSet, source: RuleSet) -> None:
@@ -404,10 +350,7 @@ def _merge_ruleset(target: RuleSet, source: RuleSet) -> None:
 
 def parse_rule(text: str) -> ECARule:
     """Parse a single ``RULE ...`` definition."""
-    parser = _RuleParser(text)
-    rule = parser.parse_one_rule()
-    parser.expect_end()
-    return rule
+    return _RuleParser(text).whole(_RuleParser.parse_one_rule)
 
 
 def parse_event_query(text: str):
@@ -416,26 +359,17 @@ def parse_event_query(text: str):
     >>> parse_event_query('a{{ x[var X] }} THEN b{{ x[var X] }}')  # doctest: +ELLIPSIS
     ESeq(...)
     """
-    parser = _RuleParser(text)
-    query = parser.parse_event()
-    parser.expect_end()
-    return query
+    return _RuleParser(text).whole(_RuleParser.parse_event)
 
 
 def parse_condition(text: str):
     """Parse the condition part of a rule (the ``IF ...`` grammar) alone."""
-    parser = _RuleParser(text)
-    condition = parser.parse_condition()
-    parser.expect_end()
-    return condition
+    return _RuleParser(text).whole(_RuleParser.parse_condition)
 
 
 def parse_action(text: str):
     """Parse the action part of a rule (the ``DO ...`` grammar) alone."""
-    parser = _RuleParser(text)
-    action = parser.parse_action()
-    parser.expect_end()
-    return action
+    return _RuleParser(text).whole(_RuleParser.parse_action)
 
 
 def parse_program(text: str) -> list:
@@ -451,7 +385,4 @@ def parse_program(text: str) -> list:
             else:
                 engine.install(item)
     """
-    parser = _RuleParser(text)
-    items = parser.parse_program_items()
-    parser.expect_end()
-    return items
+    return _RuleParser(text).whole(_RuleParser.parse_program_items)

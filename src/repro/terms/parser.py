@@ -24,7 +24,9 @@ equal term (round-trip property, tested with hypothesis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+import sys
+from itertools import islice
 
 from repro.errors import ParseError
 from repro.terms.ast import (
@@ -56,414 +58,369 @@ _KEYWORDS = frozenset(
 
 _AGG_FNS = frozenset(["count", "sum", "avg", "min", "max", "first", "last"])
 
-_PUNCT = frozenset("{}[](),@^*:;")
-
 _CMP_OPS = ("==", "!=", "<=", ">=", "<", ">")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident, string, number, punct, cmp, arrow, eq, end
-    value: str
-    position: int
-    line: int
+#: The four token classes with free text, as regex source.  ``_IDENT`` is
+#: also what :func:`to_text` asks before writing a label bare.
+_IDENT = r"[^\W\d](?:[\w.:-]*\w)?"  # no trailing '.', '-' or ':' ("X :" stays two tokens)
+_STRING = r'"[^"\\]*(?:\\[ntr"\\][^"\\]*)*"'
+_NUMBER = r"-?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"
+_QUOTED = r"`[^`]*`"
+_SKIP = r"(?:\s+|#[^\n]*)*"  # whitespace and comments to end of line
+
+#: One match per token, scanned in C.  Group 1 is the token's own source
+#: text; a character that starts no token leaves the group unset and
+#: swallows the rest of the input, so ``findall`` ends in ``""`` exactly
+#: when there is a lexical error.  The trailing skip has nothing after it
+#: and the error branch cannot fail, so no input makes the scan backtrack
+#: into a repetition it has already left: lexing is linear in the text.
+_TOKEN = re.compile(
+    rf"(?:({_IDENT}|[{{}}\[\](),@^*:;]|{_STRING}|{_NUMBER}|->|[<>=!]=|[<>=]|{_QUOTED})"
+    rf"|\S[\s\S]*){_SKIP}"
+)
+_LEADING_SKIP = re.compile(_SKIP)
+_PLAIN_IDENT = re.compile(_IDENT)
+_STRING_BODY = re.compile(_STRING[:-1])  # the literal up to where it stops being one
+_ESCAPED = re.compile(r"\\(.)")
+_UNESCAPE = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+_END = ""  # the sentinel closing every token list
+
+_KIND = {
+    **dict.fromkeys("{}[](),@^*:;", "punct"),
+    **dict.fromkeys(_CMP_OPS, "cmp"),
+    "->": "arrow", "=": "eq", _END: "end",
+}
+_BOOLS = {"true": True, "false": False}
 
 
-class _Tokenizer:
-    """Hand-written tokenizer shared by all three term parsers."""
+def _kind(token: str) -> str:
+    """The class of *token*: ident, qident, string, number, punct, cmp,
+    arrow, eq or end.  A token is its own source text, so its class can be
+    read off it — mostly off its first character."""
+    kind = _KIND.get(token)
+    if kind is not None:
+        return kind
+    first = token[0]
+    if first == '"':
+        return "string"
+    if first == "`":
+        return "qident"
+    if first == "-" or first.isdecimal():
+        return "number"
+    return "ident"
 
-    def __init__(self, text: str) -> None:
-        self._text = text
-        self._pos = 0
-        self._line = 1
 
-    def tokens(self) -> list[_Token]:
-        out = []
-        while True:
-            token = self._next()
-            out.append(token)
-            if token.kind == "end":
-                return out
+def _value(token: str) -> str:
+    """What *token* denotes: the unescaped content of a string, the inside
+    of a back-quoted label, otherwise the token itself."""
+    first = token[:1]
+    if first == '"':
+        body = token[1:-1]
+        if "\\" in body:
+            return _ESCAPED.sub(lambda match: _UNESCAPE[match[1]], body)
+        return body
+    if first == "`":
+        return token[1:-1]
+    return token
 
-    def _error(self, message: str) -> ParseError:
-        return ParseError(message, self._pos, self._line)
 
-    def _next(self) -> _Token:
-        text = self._text
-        while self._pos < len(text):
-            ch = text[self._pos]
-            if ch == "\n":
-                self._line += 1
-                self._pos += 1
-            elif ch.isspace():
-                self._pos += 1
-            elif ch == "#":  # comment to end of line
-                while self._pos < len(text) and text[self._pos] != "\n":
-                    self._pos += 1
-            else:
-                break
-        if self._pos >= len(text):
-            return _Token("end", "", self._pos, self._line)
-        start, line = self._pos, self._line
-        ch = text[start]
-        two = text[start : start + 2]
-        if two == "->":
-            self._pos += 2
-            return _Token("arrow", "->", start, line)
-        if two in ("==", "!=", "<=", ">="):
-            self._pos += 2
-            return _Token("cmp", two, start, line)
-        if ch in "<>":
-            self._pos += 1
-            return _Token("cmp", ch, start, line)
-        if ch == "=":
-            self._pos += 1
-            return _Token("eq", "=", start, line)
-        if ch in _PUNCT:
-            self._pos += 1
-            return _Token("punct", ch, start, line)
-        if ch == '"':
-            return self._string(start, line)
-        if ch == "`":
-            return self._quoted_ident(start, line)
-        if ch.isdigit() or (ch == "-" and start + 1 < len(text) and text[start + 1].isdigit()):
-            return self._number(start, line)
-        if ch.isalpha() or ch == "_":
-            return self._ident(start, line)
-        raise self._error(f"unexpected character {ch!r}")
+def _odd_start(token: str) -> bool:
+    """Whether *token* starts with a character only ``str.isnumeric`` can
+    name (², ½, Ⅷ).  The regex word class admits them and has no way to
+    tell them from letters; they start no token."""
+    first = token[:1]
+    return not (first.isascii() or first.isalpha() or first.isdecimal())
 
-    def _string(self, start: int, line: int) -> _Token:
-        text = self._text
-        pos = start + 1
-        parts: list[str] = []
-        while pos < len(text):
-            ch = text[pos]
-            if ch == '"':
-                self._pos = pos + 1
-                return _Token("string", "".join(parts), start, line)
-            if ch == "\\":
-                if pos + 1 >= len(text):
-                    break
-                escape = text[pos + 1]
-                mapped = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}.get(escape)
-                if mapped is None:
-                    raise ParseError(f"bad escape \\{escape}", pos, line)
-                parts.append(mapped)
-                pos += 2
-            else:
-                if ch == "\n":
-                    self._line += 1
-                parts.append(ch)
-                pos += 1
-        raise ParseError("unterminated string literal", start, line)
 
-    def _quoted_ident(self, start: int, line: int) -> _Token:
-        text = self._text
-        pos = start + 1
-        while pos < len(text) and text[pos] != "`":
-            pos += 1
-        if pos >= len(text):
-            raise ParseError("unterminated back-quoted label", start, line)
-        self._pos = pos + 1
-        return _Token("qident", text[start + 1 : pos], start, line)
+def _line_of(text: str, position: int) -> int:
+    return text.count("\n", 0, position) + 1
 
-    def _number(self, start: int, line: int) -> _Token:
-        text = self._text
-        pos = start + 1 if text[start] == "-" else start
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos < len(text) and text[pos] == ".":
-            pos += 1
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-        if pos < len(text) and text[pos] in "eE":
-            probe = pos + 1
-            if probe < len(text) and text[probe] in "+-":
-                probe += 1
-            if probe < len(text) and text[probe].isdigit():
-                pos = probe
-                while pos < len(text) and text[pos].isdigit():
-                    pos += 1
-        self._pos = pos
-        return _Token("number", text[start:pos], start, line)
 
-    def _ident(self, start: int, line: int) -> _Token:
-        text = self._text
-        pos = start
-        while pos < len(text) and (text[pos].isalnum() or text[pos] in "_-.:"):
-            pos += 1
-        # Do not swallow a trailing '.', '-', or ':' (keeps "a.b." and
-        # "X :" round-trippable; namespace colons mid-ident are preserved).
-        while pos > start and text[pos - 1] in ".-:":
-            pos -= 1
-        self._pos = pos
-        return _Token("ident", text[start:pos], start, line)
+def _matches(text: str):
+    """One match per token of *text*, for the positions ``findall`` drops."""
+    return _TOKEN.finditer(text, _LEADING_SKIP.match(text).end())
+
+
+def _lexical_error(text: str) -> ParseError:
+    """Re-scan *text* for its first lexical error (the caller saw one)."""
+    start = next(match.start() for match in _matches(text)
+                 if match[1] is None or _odd_start(match[1]))
+    line = _line_of(text, start)
+    if text[start] == "`":
+        return ParseError("unterminated back-quoted label", start, line)
+    if text[start] == '"':
+        stop = _STRING_BODY.match(text, start).end()
+        if stop + 1 < len(text):  # not the closing quote, so a backslash
+            return ParseError(f"bad escape \\{text[stop + 1]}", stop, line)
+        return ParseError("unterminated string literal", start, line)
+    return ParseError(f"unexpected character {text[start]!r}", start, line)
+
+
+def _lex(text: str) -> list[str]:
+    """The tokens of *text*, each its own source text, closed by ``_END``.
+
+    Lexical errors win over syntax errors: the whole text is scanned before
+    the first token is parsed.
+    """
+    tokens = _TOKEN.findall(text, _LEADING_SKIP.match(text).end())
+    if (tokens and not tokens[-1]) or (
+            not text.isascii() and any(map(_odd_start, tokens))):
+        raise _lexical_error(text)
+    tokens.append(_END)
+    return tokens
 
 
 class _Parser:
     """Recursive-descent parser over the token list."""
 
     def __init__(self, text: str) -> None:
-        self._tokens = _Tokenizer(text).tokens()
+        self._text = text
+        self._tokens = _lex(text)
         self._index = 0
+
+    def whole(self, rule):
+        """Apply grammar *rule* to the whole text: nothing may follow it,
+        and hostile nesting that exhausts the stack is a parse error too."""
+        try:
+            result = rule(self)
+        except RecursionError:
+            raise ParseError(
+                "nesting too deep for the parser's stack "
+                f"(recursion limit {sys.getrecursionlimit()})") from None
+        token = self._tokens[self._index]
+        if token != _END:
+            raise self._error(f"trailing input: {_value(token)!r}")
+        return result
 
     # -- token helpers -------------------------------------------------------
 
-    def _peek(self, ahead: int = 0) -> _Token:
-        index = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _at(self, token: str) -> bool:
+        return self._tokens[self._index] == token
 
-    def _advance(self) -> _Token:
-        token = self._tokens[self._index]
-        if token.kind != "end":
+    def _eat(self, token: str) -> bool:
+        if self._tokens[self._index] == token:
             self._index += 1
-        return token
-
-    def _expect(self, kind: str, value: str | None = None) -> _Token:
-        token = self._peek()
-        if token.kind != kind or (value is not None and token.value != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {token.value or token.kind!r}",
-                             token.position, token.line)
-        return self._advance()
-
-    def _expect_label(self) -> str:
-        token = self._peek()
-        if token.kind not in ("ident", "qident"):
-            raise ParseError(f"expected a label, found {token.value or token.kind!r}",
-                             token.position, token.line)
-        return self._advance().value
-
-    def _at_punct(self, value: str) -> bool:
-        token = self._peek()
-        return token.kind == "punct" and token.value == value
-
-    def _at_keyword(self, word: str) -> bool:
-        token = self._peek()
-        return token.kind == "ident" and token.value == word
-
-    def _eat_punct(self, value: str) -> bool:
-        if self._at_punct(value):
-            self._advance()
             return True
         return False
 
-    def expect_end(self) -> None:
-        token = self._peek()
-        if token.kind != "end":
-            raise ParseError(f"trailing input: {token.value!r}", token.position, token.line)
+    def _error(self, message: str, index: "int | None" = None) -> ParseError:
+        """A :class:`ParseError` at token *index* (default: the current one).
+
+        Tokens carry no positions; the text is scanned again for them,
+        which only a failing parse pays for.
+        """
+        text = self._text
+        index = self._index if index is None else index
+        match = next(islice(_matches(text), index, None), None)
+        position = len(text) if match is None else match.start()
+        return ParseError(message, position, _line_of(text, position))
+
+    def _expected(self, want: str) -> ParseError:
+        token = self._tokens[self._index]
+        return self._error(f"expected {want}, found {_value(token) or _kind(token)!r}")
+
+    def _expect(self, token: str) -> None:
+        """Consume exactly *token* (punctuation or a keyword)."""
+        if self._tokens[self._index] != token:
+            raise self._expected(repr(token))
+        self._index += 1
+
+    def _take(self, kind: str) -> str:
+        """Consume a token of class *kind* and return its value."""
+        token = self._tokens[self._index]
+        if _kind(token) != kind:
+            raise self._expected(repr(kind))
+        self._index += 1
+        return _value(token)
+
+    def _expect_label(self) -> str:
+        token = self._tokens[self._index]
+        first = token[:1]
+        if first == "`":
+            label = token[1:-1]
+        elif first.isalpha() or first == "_":
+            label = token
+        else:
+            raise self._expected("a label")
+        self._index += 1
+        return label
 
     # -- literals ------------------------------------------------------------
 
-    def _literal(self) -> Child:
-        token = self._peek()
-        if token.kind == "string":
-            self._advance()
-            return token.value
-        if token.kind == "number":
-            self._advance()
-            if any(ch in token.value for ch in ".eE"):
-                return float(token.value)
-            return int(token.value)
-        if token.kind == "ident" and token.value in ("true", "false"):
-            self._advance()
-            return token.value == "true"
-        raise ParseError(f"expected a literal, found {token.value or token.kind!r}",
-                         token.position, token.line)
-
-    def _at_literal(self) -> bool:
-        token = self._peek()
-        return token.kind in ("string", "number") or (
-            token.kind == "ident" and token.value in ("true", "false")
-        )
+    def _scalar(self) -> "Child | None":
+        """Consume and return the literal at the current token, if it is one."""
+        token = self._tokens[self._index]
+        first = token[:1]
+        if first == '"':
+            value: Child = _value(token)
+        elif first.isdecimal() or (first == "-" and token != "->"):
+            try:
+                value = float(token) if any(ch in token for ch in ".eE") else int(token)
+            except ValueError:  # CPython caps the digits int() will convert
+                raise self._error(f"number literal of {len(token)} characters "
+                                  "is too long") from None
+        else:
+            value = _BOOLS.get(token)
+            if value is None:
+                return None
+        self._index += 1
+        return value
 
     def _attrs(self, allow_vars: bool) -> tuple[tuple[str, "str | Var"], ...]:
         """Parse ``@{k="v", k2=var X}`` (the ``@`` is already consumed)."""
-        self._expect("punct", "{")
+        self._expect("{")
         pairs: list[tuple[str, "str | Var"]] = []
-        while not self._at_punct("}"):
+        while not self._at("}"):
             key = self._expect_label()
-            self._expect("eq")
-            if allow_vars and self._at_keyword("var"):
-                self._advance()
-                pairs.append((key, Var(self._expect("ident").value)))
+            self._take("eq")
+            if allow_vars and self._eat("var"):
+                pairs.append((key, Var(self._take("ident"))))
             else:
-                pairs.append((key, self._expect("string").value))
-            if not self._eat_punct(","):
+                pairs.append((key, self._take("string")))
+            if not self._eat(","):
                 break
-        self._expect("punct", "}")
+        self._expect("}")
         return tuple(sorted(pairs, key=lambda kv: kv[0]))
+
+    def _children(self, rule, closing: str) -> tuple:
+        """``rule, rule, ... closing`` (the opening bracket is consumed)."""
+        tokens = self._tokens
+        children = []
+        while tokens[self._index] != closing:
+            children.append(rule())
+            if tokens[self._index] != ",":
+                break
+            self._index += 1
+        self._expect(closing)
+        return tuple(children)
 
     # -- data terms ----------------------------------------------------------
 
     def parse_data(self) -> Child:
-        if self._at_literal():
-            return self._literal()
-        label = self._expect_label()
+        # The wire's and the WAL's hot path: the helpers are spelled out.
+        tokens = self._tokens
+        token = tokens[self._index]
+        first = token[:1]
+        if first == "`":
+            label = token[1:-1]
+        elif (first.isalpha() or first == "_") and token not in _BOOLS:
+            label = token
+        else:
+            value = self._scalar()
+            if value is None:
+                raise self._expected("a label")
+            return value
+        self._index += 1
         attrs: tuple[tuple[str, str], ...] = ()
-        if self._eat_punct("@"):
+        if tokens[self._index] == "@":
+            self._index += 1
             attrs = self._attrs(allow_vars=False)  # type: ignore[assignment]
-        if self._eat_punct("{"):
-            children = self._data_children("}")
-            return Data(label, children, False, attrs)
-        if self._eat_punct("["):
-            children = self._data_children("]")
-            return Data(label, children, True, attrs)
-        return Data(label, (), True, attrs)
-
-    def _data_children(self, closing: str) -> tuple[Child, ...]:
-        children: list[Child] = []
-        while not self._at_punct(closing):
-            children.append(self.parse_data())
-            if not self._eat_punct(","):
-                break
-        self._expect("punct", closing)
-        return tuple(children)
+        token = tokens[self._index]
+        if token != "[" and token != "{":
+            return Data(label, (), True, attrs)
+        self._index += 1
+        children = self._children(self.parse_data, "]" if token == "[" else "}")
+        return Data(label, children, token == "[", attrs)
 
     # -- query terms ----------------------------------------------------------
 
     def parse_query(self) -> Query:
-        token = self._peek()
-        if token.kind == "cmp":
-            self._advance()
-            if self._at_keyword("var"):
-                self._advance()
-                return Compare(token.value, Var(self._expect("ident").value))
-            literal = self._literal()
-            return Compare(token.value, literal)  # type: ignore[arg-type]
-        if self._at_keyword("var"):
-            self._advance()
-            name = self._expect("ident").value
-            if self._peek().kind == "arrow":
-                self._advance()
+        token = self._tokens[self._index]
+        if token in _CMP_OPS:
+            self._index += 1
+            if self._eat("var"):
+                return Compare(token, Var(self._take("ident")))
+            value = self._scalar()
+            if value is None:
+                raise self._expected("a literal")
+            return Compare(token, value)  # type: ignore[arg-type]
+        if self._eat("var"):
+            name = self._take("ident")
+            if self._eat("->"):
                 return Var(name, self.parse_query())
             return Var(name)
-        if self._at_keyword("desc"):
-            self._advance()
+        if self._eat("desc"):
             return Desc(self.parse_query())
-        if self._at_keyword("without"):
-            self._advance()
+        if self._eat("without"):
             return Without(self.parse_query())
-        if self._at_keyword("optional"):
-            self._advance()
+        if self._eat("optional"):
             inner = self.parse_query()
             default: Child | None = None
-            if self._at_keyword("default"):
-                self._advance()
+            if self._eat("default"):
                 default = self.parse_data()
             return Optional_(inner, default)
-        if self._at_keyword("re"):
-            self._advance()
-            return RegexMatch(self._expect("string").value)
-        if self._at_literal():
-            return self._literal()
+        if self._eat("re"):
+            return RegexMatch(self._take("string"))
+        value = self._scalar()
+        if value is not None:
+            return value
         return self._qterm()
 
     def _qterm(self) -> QTerm:
         label: "str | LabelVar"
-        if self._eat_punct("^"):
-            label = LabelVar(self._expect("ident").value)
-        elif self._eat_punct("*"):
+        if self._eat("^"):
+            label = LabelVar(self._take("ident"))
+        elif self._eat("*"):
             label = "*"
         else:
             label = self._expect_label()
         attrs: tuple[tuple[str, "str | Var"], ...] = ()
-        if self._eat_punct("@"):
+        if self._eat("@"):
             attrs = self._attrs(allow_vars=True)
-        if self._eat_punct("{"):
-            if self._eat_punct("{"):
-                children = self._query_children("}")
-                self._expect("punct", "}")
-                return QTerm(label, children, False, False, attrs)
-            children = self._query_children("}")
-            return QTerm(label, children, False, True, attrs)
-        if self._eat_punct("["):
-            if self._eat_punct("["):
-                children = self._query_children("]")
-                self._expect("punct", "]")
-                return QTerm(label, children, True, False, attrs)
-            children = self._query_children("]")
-            return QTerm(label, children, True, True, attrs)
+        for opening, closing, ordered in (("{", "}", False), ("[", "]", True)):
+            if self._eat(opening):
+                total = not self._eat(opening)
+                children = self._children(self.parse_query, closing)
+                if not total:
+                    self._expect(closing)
+                return QTerm(label, children, ordered, total, attrs)
         # Bare label: match any children (unordered partial, no patterns).
         return QTerm(label, (), False, False, attrs)
-
-    def _query_children(self, closing: str) -> tuple[Query, ...]:
-        children: list[Query] = []
-        while not self._at_punct(closing):
-            children.append(self.parse_query())
-            if not self._eat_punct(","):
-                break
-        self._expect("punct", closing)
-        return tuple(children)
 
     # -- construct terms -------------------------------------------------------
 
     def parse_construct(self) -> Construct:
-        if self._at_keyword("var"):
-            self._advance()
-            return Var(self._expect("ident").value)
-        if self._at_keyword("all"):
-            self._advance()
+        if self._eat("var"):
+            return Var(self._take("ident"))
+        if self._eat("all"):
             inner = self.parse_construct()
             order_by: tuple[str, ...] = ()
-            if self._at_keyword("order"):
-                self._advance()
-                self._expect("ident", "by")
-                self._expect("punct", "[")
-                names = []
-                while not self._at_punct("]"):
-                    names.append(self._expect("ident").value)
-                    if not self._eat_punct(","):
-                        break
-                self._expect("punct", "]")
-                order_by = tuple(names)
+            if self._eat("order"):
+                self._expect("by")
+                self._expect("[")
+                order_by = self._children(lambda: self._take("ident"), "]")
             return All(inner, order_by)
-        if self._at_literal():
-            return self._literal()
+        value = self._scalar()
+        if value is not None:
+            return value
         # Label: plain, variable (^X), or function/aggregation call.
-        token = self._peek()
-        if token.kind == "ident" and self._peek(1).kind == "punct" and self._peek(1).value == "(":
+        token = self._tokens[self._index]
+        if _kind(token) == "ident" and self._tokens[self._index + 1] == "(":
             return self._call()
         label: "str | Var"
-        if self._eat_punct("^"):
-            label = Var(self._expect("ident").value)
+        if self._eat("^"):
+            label = Var(self._take("ident"))
         else:
             label = self._expect_label()
         attrs: tuple[tuple[str, "str | Var"], ...] = ()
-        if self._eat_punct("@"):
+        if self._eat("@"):
             attrs = self._attrs(allow_vars=True)
-        if self._eat_punct("{"):
-            children = self._construct_children("}")
-            return CTerm(label, children, False, attrs)
-        if self._eat_punct("["):
-            children = self._construct_children("]")
-            return CTerm(label, children, True, attrs)
+        if self._eat("{"):
+            return CTerm(label, self._children(self.parse_construct, "}"), False, attrs)
+        if self._eat("["):
+            return CTerm(label, self._children(self.parse_construct, "]"), True, attrs)
         return CTerm(label, (), True, attrs)
 
     def _call(self) -> Construct:
-        name = self._expect("ident").value
-        self._expect("punct", "(")
-        if name in _AGG_FNS and self._at_keyword("var"):
-            self._advance()
-            var_name = self._expect("ident").value
-            self._expect("punct", ")")
+        name = self._take("ident")
+        self._expect("(")
+        if name in _AGG_FNS and self._eat("var"):
+            var_name = self._take("ident")
+            self._expect(")")
             return Agg(name, var_name)
-        args: list[Construct] = []
-        while not self._at_punct(")"):
-            args.append(self.parse_construct())
-            if not self._eat_punct(","):
-                break
-        self._expect("punct", ")")
-        return Fn(name, tuple(args))
-
-    def _construct_children(self, closing: str) -> tuple[Construct, ...]:
-        children: list[Construct] = []
-        while not self._at_punct(closing):
-            children.append(self.parse_construct())
-            if not self._eat_punct(","):
-                break
-        self._expect("punct", closing)
-        return tuple(children)
+        return Fn(name, self._children(self.parse_construct, ")"))
 
 
 # ---------------------------------------------------------------------------
@@ -473,26 +430,17 @@ class _Parser:
 
 def parse_data(text: str) -> Child:
     """Parse a data term (or scalar literal) from text."""
-    parser = _Parser(text)
-    term = parser.parse_data()
-    parser.expect_end()
-    return term
+    return _Parser(text).whole(_Parser.parse_data)
 
 
 def parse_query(text: str) -> Query:
     """Parse a query term from text."""
-    parser = _Parser(text)
-    term = parser.parse_query()
-    parser.expect_end()
-    return term
+    return _Parser(text).whole(_Parser.parse_query)
 
 
 def parse_construct(text: str) -> Construct:
     """Parse a construct term from text."""
-    parser = _Parser(text)
-    term = parser.parse_construct()
-    parser.expect_end()
-    return term
+    return _Parser(text).whole(_Parser.parse_construct)
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +455,10 @@ def _escape_string(value: str) -> str:
 
 
 def _is_plain_ident(label: str) -> bool:
-    if not label or label in _KEYWORDS:
-        return False
-    if not (label[0].isalpha() or label[0] == "_"):
-        return False
-    if label[-1] in ".-":
-        return False
-    return all(ch.isalnum() or ch in "_-.:" for ch in label)
+    """Whether the lexer reads *label* back as one identifier token: asked
+    of the lexer's own regex, so serialiser and lexer cannot drift."""
+    return (_PLAIN_IDENT.fullmatch(label) is not None and label not in _KEYWORDS
+            and (label.isascii() or not _odd_start(label)))
 
 
 def _label_text(label: str) -> str:
