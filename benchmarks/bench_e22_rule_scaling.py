@@ -26,7 +26,10 @@ Headline claims: **ev/s stays flat** for the trie from 100 to 100k rules
 **per-install latency is amortised O(trie depth)**, not O(rules) — the
 incremental install edit (``install_ms_trie``) stays flat while a
 rebuild-per-install policy (``install_ms_rebuild``, one full
-:meth:`refresh`) grows linearly with the base.
+:meth:`refresh`) grows linearly with the base.  ``install_ms_sharded`` is
+the same one-rule install into a ``shards=4`` node of the same size: the
+router places the rule by delta and forwards it to its one hosting
+shard, so it tracks ``install_ms_trie``, not the rebuild.
 
 Slow modes get proportionally shorter streams (rates normalise this);
 ``firings == events`` is asserted per mode so the ablations can never
@@ -55,6 +58,7 @@ LABEL = "stock"
 PROBE_BUDGET = 1_500_000
 MAX_EVENTS = 1_500
 N_PROBE_INSTALLS = 50
+N_SHARDS = 4
 
 NOOP = PyAction(lambda n, b: None, "noop")
 
@@ -155,6 +159,25 @@ def install_latencies(n_rules: int) -> "tuple[float, float]":
     return install_ms, rebuild_ms
 
 
+def sharded_install_latency(n_rules: int) -> float:
+    """Per-install ms of one plain rule into an N-rule ``shards=4`` node
+    (the router's delta placement plus one shard's trie edit)."""
+    sim = Simulation(latency=0.0)
+    node = sim.reactive_node("http://bench.example",
+                             config=EngineConfig(shards=N_SHARDS))
+    side = grid_side(n_rules)
+    node.install(*(rule_for(i, side) for i in range(n_rules)))
+    probes = [rule_for(n_rules + j, side) for j in range(N_PROBE_INSTALLS)]
+    plans = node.router.full_plans
+    started = time.perf_counter()
+    for probe in probes:
+        node.install(probe)
+    install_ms = (time.perf_counter() - started) * 1000.0 / len(probes)
+    assert node.router.full_plans == plans or n_rules <= N_PROBE_INSTALLS, (
+        "probe installs must be deltas, not full plans")
+    return install_ms
+
+
 def table() -> list[dict]:
     rows = []
     for n_rules in pick(RULE_GRID, (16, 64)):
@@ -174,11 +197,12 @@ def table() -> list[dict]:
             "evps_rootlabel": results["rootlabel"]["rate"],
             "install_ms_trie": install_ms,
             "install_ms_rebuild": rebuild_ms,
+            "install_ms_sharded": sharded_install_latency(n_rules),
         })
     return require_columns(
         "e22", rows,
         ("evps_trie", "evps_twolevel", "evps_rootlabel",
-         "install_ms_trie", "install_ms_rebuild"),
+         "install_ms_trie", "install_ms_rebuild", "install_ms_sharded"),
     )
 
 
@@ -195,6 +219,11 @@ def test_e22_trie_keeps_candidates_flat():
 def test_e22_incremental_install_beats_rebuild():
     install_ms, rebuild_ms = install_latencies(5_000)
     assert install_ms < rebuild_ms / 10
+
+
+def test_e22_sharded_install_is_a_delta_not_a_rebuild():
+    _install_ms, rebuild_ms = install_latencies(5_000)
+    assert sharded_install_latency(5_000) < rebuild_ms / 10
 
 
 def test_e22_dispatch_throughput(benchmark):
@@ -227,6 +256,7 @@ def main() -> None:
         "label": LABEL,
         "probe_budget": PROBE_BUDGET,
         "probe_installs": N_PROBE_INSTALLS,
+        "shards": N_SHARDS,
         "rows": rows,
     })
     print(f"\nwrote {path}" if path else "\n(smoke mode: no JSON written)")
@@ -236,10 +266,11 @@ def main() -> None:
             "trie throughput must not degrade more than 2x from "
             f"{first['rules']} to {last['rules']} rules"
         )
-        assert last["install_ms_trie"] < last["install_ms_rebuild"] / 10, (
-            "incremental installs must stay far below a full rebuild "
-            "at the top of the grid"
-        )
+        for column in ("install_ms_trie", "install_ms_sharded"):
+            assert last[column] < last["install_ms_rebuild"] / 10, (
+                f"{column}: incremental installs must stay far below a "
+                "full rebuild at the top of the grid"
+            )
 
 
 if __name__ == "__main__":

@@ -99,10 +99,12 @@ inbox:
   which merges same-instant wake-ups across shards so firing order at a
   shared deadline follows global installation order;
 - ``installer`` redirects ``INSTALL``/``UNINSTALL`` actions (Thesis 11)
-  executed inside a shard back to the router, which re-partitions;
-- :meth:`ReactiveEngine.sync_rules` replaces the whole rule base in one
-  step (the router computes each shard's slice), preserving evaluator
-  state of rules that stay put.
+  executed inside a shard back to the router, which places the rule;
+- :meth:`ReactiveEngine.add_rule` / :meth:`ReactiveEngine.drop_rule`,
+  the O(trie depth) primitives under incremental install and uninstall,
+  are also how the router places a rule on a shard or takes it off: it
+  passes the *global* installation sequence, so no shard ever renumbers,
+  and ``drop_rule`` hands back the evaluator, state intact, to be moved.
 
 None of this affects a directly-constructed engine: with the default
 ``shards=1`` nothing changes, bit for bit.
@@ -696,7 +698,7 @@ class ReactiveEngine:
         # Combinator-group dispatch specs: qualified rule name ->
         # (group_path, kind, precedence), compiled from the installed rule
         # sets (see repro.core.rulesets.compile_group_specs); the shard
-        # router overrides this with the node-wide table after sync_rules.
+        # router overrides this with the node-wide table.
         self._groups: dict[str, tuple[str, str, float]] = {}
         # Wake-up group deferral: _on_time (and the shard router, across
         # shards) plants a list here so grouped answers produced by
@@ -714,6 +716,9 @@ class ReactiveEngine:
         # wake-up only the owners are advanced (coalesced mode), so idle
         # rules pay nothing for other rules' deadlines.
         self._deadline_owners: dict[float, set[object]] = {}
+        # The reverse map — evaluator -> instants it owns — so uninstalling
+        # a rule touches its own deadlines, not every pending instant.
+        self._owned_instants: dict[object, set[float]] = {}
         # evaluator -> (installation sequence tuple, rule name, rule);
         # maintained incrementally (rebuilt in refresh).  Lets _on_time
         # order and advance just the owners without scanning the whole
@@ -723,7 +728,7 @@ class ReactiveEngine:
         self._web_views: dict[str, object] = {}  # uri -> BackwardEvaluator
         # Sharding seams (see the module docstring): the router replaces
         # `wakeup_via` to merge deadlines across shards and `installer` to
-        # route INSTALL/UNINSTALL actions through re-partitioning.  Both
+        # route INSTALL/UNINSTALL actions through its placement.  Both
         # default to plain single-engine behaviour.
         self.wakeup_via = None  # callable(deadline) | None
         self.installer = self
@@ -759,10 +764,9 @@ class ReactiveEngine:
         are whole-base properties).  One deliberate scope note: the
         incremental path does not re-plan surviving evaluators' join
         orders from current rates the way a full refresh does — plans
-        catch up on the next refresh (the router's re-partitioning still
-        refreshes every shard).  *procedures* holds ``(name, params,
-        action)`` triples, as produced by
-        :func:`repro.lang.parser.parse_program`.
+        catch up on the next refresh (on a sharded node: at the router's
+        next full plan).  *procedures* holds ``(name, params, action)``
+        triples, as produced by :func:`repro.lang.parser.parse_program`.
         """
         procedures = tuple(procedures)
         pending: set[str] = set()
@@ -805,20 +809,11 @@ class ReactiveEngine:
                 raise RuleError(f"duplicate rule name {rule.name!r}")
             seen.add(rule.name)
         rates = self.label_rates()
-        built = []
-        for rule in batch:
-            evaluator: object = self._factory.build(rule.event, rates)
-            if self.consumption != "unrestricted":
-                evaluator = ConsumingEvaluator(evaluator, self.consumption)
-            built.append((rule, evaluator))
+        built = [(rule, self.build_evaluator(rule, rates)) for rule in batch]
         for rule, evaluator in built:
-            seq = (0, self._next_single)
-            self._next_single += 1
             self._single_rules[rule.name] = rule
-            self._active[rule.name] = (rule, evaluator)
-            self._eval_entry[evaluator] = (seq, rule.name, rule)
-            self._insert_dispatch(seq, rule, evaluator)
-        self._entry_cache = None
+            self.add_rule((0, self._next_single), rule.name, rule, evaluator)
+            self._next_single += 1
 
     def _admit(self, item: "ECARule | RuleSet") -> None:
         if isinstance(item, RuleSet):
@@ -853,11 +848,13 @@ class ReactiveEngine:
                 raise RuleError(
                     f"rule {item.name!r} is not installed ({self._installed()})"
                 )
-            self._uninstall_single(item.name)
+            del self._single_rules[item.name]
+            self.drop_rule(item.name)
             return
         elif isinstance(item, str):
             if item in self._single_rules:
-                self._uninstall_single(item)
+                del self._single_rules[item]
+                self.drop_rule(item)
                 return
             named = [rs for rs in self._rulesets if rs.name == item]
             if not named:
@@ -869,12 +866,50 @@ class ReactiveEngine:
             raise RuleError(f"cannot uninstall {item!r}")
         self.refresh()
 
-    def _uninstall_single(self, name: str) -> None:
-        """Eagerly prune one plain rule from every dispatch structure."""
-        rule = self._single_rules.pop(name)
-        _rule, evaluator = self._active.pop(name)
-        seq, _name, _r = self._eval_entry.pop(evaluator)
-        interest = evaluator.interest()
+    def build_evaluator(self, rule: ECARule, rates=None):
+        """A fresh evaluator for *rule*, seeded from the rates seen so far."""
+        evaluator: object = self._factory.build(
+            rule.event, self.label_rates() if rates is None else rates)
+        if self.consumption != "unrestricted":
+            evaluator = ConsumingEvaluator(evaluator, self.consumption)
+        return evaluator
+
+    def add_rule(self, seq: tuple, name: str, rule: ECARule, evaluator,
+                 interest=None) -> None:
+        """Admit one rule at installation sequence *seq*, O(trie depth).
+
+        With :meth:`drop_rule`, the one primitive under incremental
+        installs, :meth:`refresh` and the shard router — which passes the
+        *global* sequence, an evaluator that may carry state, and the
+        *interest* it already derived (``None``: ask the evaluator).
+        """
+        if interest is None:
+            interest = evaluator.interest()
+        self._active[name] = (rule, evaluator)
+        self._eval_entry[evaluator] = (seq, name, rule)
+        self._entry_cache = None
+        if interest.by_label is None:
+            bisect.insort(self._wildcard_rows,
+                          (seq, rule, evaluator, frozenset()), key=_row_seq)
+            self._wildcard = [(r, e) for _s, r, e, _d in self._wildcard_rows]
+            return
+        for label, discriminators in interest.by_label:
+            root = self._index.get(label)
+            if root is None:
+                root = self._index[label] = _TrieNode()
+            root.insert((seq, rule, evaluator, discriminators), 0,
+                        self._split_depth)
+
+    def drop_rule(self, name: str, interest=None):
+        """Eagerly prune one rule from every dispatch structure.
+
+        Returns its evaluator, partial-match state intact.
+        """
+        rule, evaluator = self._active.pop(name)
+        seq = self._eval_entry.pop(evaluator)[0]
+        self._entry_cache = None
+        if interest is None:
+            interest = evaluator.interest()
         if interest.by_label is None:
             self._wildcard_rows = [
                 row for row in self._wildcard_rows if row[0] != seq
@@ -891,14 +926,26 @@ class ReactiveEngine:
                 if root.is_empty():
                     del self._index[label]
         self._touched.discard(evaluator)
-        # Deadlines this evaluator owned die with it.  The owner sets are
-        # emptied but the instants' entries stay (their clock callbacks
-        # are already scheduled; keeping the entry stops a later deadline
-        # at the same instant from scheduling a duplicate callback) —
-        # _on_time skips an all-pruned instant without counting a wakeup.
-        for owners in self._deadline_owners.values():
-            owners.discard(evaluator)
-        self._entry_cache = None
+        self._forget_deadlines(evaluator)
+        return evaluator
+
+    def _forget_deadlines(self, evaluator) -> None:
+        """Deadlines an evaluator owned die with it, O(its own instants).
+
+        The owner sets are emptied but the instants' entries stay (their
+        clock callbacks are already scheduled; the entry stops a later
+        deadline at that instant from scheduling a duplicate) — _on_time
+        skips an all-pruned instant without counting a wakeup.
+        """
+        for when in self._owned_instants.pop(evaluator, ()):
+            self._deadline_owners[when].discard(evaluator)
+
+    def take_due(self, when: float) -> set:
+        """Pop the evaluators owning a deadline at *when*."""
+        owners = self._deadline_owners.pop(when, set())
+        for evaluator in owners:
+            self._owned_instants[evaluator].discard(when)
+        return owners
 
     def _installed(self) -> str:
         rules = ", ".join(sorted(self._single_rules)) or "none"
@@ -940,42 +987,20 @@ class ReactiveEngine:
                 if replan is not None:
                     replan(rates)
             else:
-                evaluator: object = self._factory.build(rule.event, rates)
-                if self.consumption != "unrestricted":
-                    evaluator = ConsumingEvaluator(evaluator, self.consumption)
-                active[name] = (rule, evaluator)
-        self._active = active
+                active[name] = (rule, self.build_evaluator(rule, rates))
         self._next_single = len(self._single_rules)
         live = {evaluator for _rule, evaluator in active.values()}
         self._touched.intersection_update(live)
-        # Deadlines owned by dropped evaluators die with them (see
-        # _uninstall_single for why emptied instants keep their entries).
-        for owners in self._deadline_owners.values():
-            owners.intersection_update(live)
+        for evaluator in [ev for ev in self._owned_instants if ev not in live]:
+            self._forget_deadlines(evaluator)
+        self._active = {}
         self._index = {}
         self._wildcard_rows = []
         self._wildcard = []
         self._eval_entry = {}
-        self._entry_cache = None
         for name, (rule, evaluator) in active.items():
-            self._eval_entry[evaluator] = (order[name], name, rule)
-            self._insert_dispatch(order[name], rule, evaluator)
+            self.add_rule(order[name], name, rule, evaluator)
         self._groups = compile_group_specs(self._rulesets)
-
-    def _insert_dispatch(self, seq: tuple, rule: ECARule, evaluator) -> None:
-        """Insert one rule's rows into the dispatch structures, O(depth)."""
-        interest = evaluator.interest()
-        if interest.by_label is None:
-            bisect.insort(self._wildcard_rows,
-                          (seq, rule, evaluator, frozenset()), key=_row_seq)
-            self._wildcard = [(r, e) for _s, r, e, _d in self._wildcard_rows]
-            return
-        for label, discriminators in interest.by_label:
-            root = self._index.get(label)
-            if root is None:
-                root = self._index[label] = _TrieNode()
-            root.insert((seq, rule, evaluator, discriminators), 0,
-                        self._split_depth)
 
     def _ordered_entries(self) -> list[tuple[ECARule, object]]:
         """The active (rule, evaluator) pairs in installation-seq order."""
@@ -1051,22 +1076,6 @@ class ReactiveEngine:
         """Total mechanism switches across all active evaluators."""
         return sum(getattr(evaluator, "switches", 0)
                    for _rule, evaluator in self._active.values())
-
-    def sync_rules(self, named_rules) -> None:
-        """Replace the whole rule base with *named_rules* in one step.
-
-        *named_rules* is an ordered iterable of ``(name, rule)`` pairs —
-        the shard router's hook for re-partitioning: it computes each
-        shard's slice (qualified rule-set names included) and pushes it
-        here wholesale.  Evaluators of rules that stay installed keep
-        their partial-match state (:meth:`refresh` matches them by rule
-        object identity); the installation order of the pairs becomes the
-        shard's firing order, so the router hands every shard its slice in
-        *global* installation order.
-        """
-        self._single_rules = dict(named_rules)
-        self._rulesets = []
-        self.refresh()
 
     def define_procedure(self, name: str, params: tuple[str, ...], action) -> None:
         """Register a named action procedure (Thesis 9)."""
@@ -1222,7 +1231,7 @@ class ReactiveEngine:
         return [(rule, evaluator) for _s, rule, evaluator, _d in merged]
 
     def _on_time(self, when: float) -> None:
-        owners = self._deadline_owners.pop(when, set())
+        owners = self.take_due(when)
         if self._coalesced and not owners:
             # Every owner was eagerly pruned (uninstalled) after this
             # wake-up was scheduled: nothing can expire, so the instant is
@@ -1291,8 +1300,10 @@ class ReactiveEngine:
         for answer in answers:
             self._fire(rule, answer.bindings)
 
-    def _schedule_wakeups(self) -> None:
-        for evaluator in self._touched:
+    def _schedule_wakeups(self, arrived=None) -> None:
+        """Register the next deadline of every touched evaluator — or of
+        just the *arrived* ones the shard router moved here."""
+        for evaluator in self._touched if arrived is None else arrived:
             deadline = evaluator.next_deadline()
             if deadline is None:
                 continue
@@ -1305,7 +1316,9 @@ class ReactiveEngine:
                     self.node.clock.at(deadline,
                                        lambda d=deadline: self._on_time(d))
             owners.add(evaluator)
-        self._touched.clear()
+            self._owned_instants.setdefault(evaluator, set()).add(deadline)
+        if arrived is None:
+            self._touched.clear()
 
     # -- rule firing ------------------------------------------------------------------
 
@@ -1375,7 +1388,7 @@ class ReactiveEngine:
 
             rule = term_to_rule(act.build_term(action.rule_term, bindings))
             # Through the installer seam: on a sharded node the router
-            # re-partitions instead of installing into this shard only.
+            # places the rule instead of installing into this shard only.
             self.installer.install(rule)
             return
         if isinstance(action, act.UninstallRule):

@@ -45,6 +45,29 @@ co-locate and dispatch-time winner resolution stays engine-local; at
 wake-ups, where several engines may buffer answers for different groups,
 the router resolves the buffered groups globally in installation order.
 
+When placements move
+--------------------
+
+The tables above are kept *live*.  A plain rule arriving is a **delta**:
+only it is placed, onto the tables as they stand (a new label or axis
+value goes to the lightest shard), and forwarded to only its hosts through
+the engine's O(trie depth) ``add_rule`` with the *global* installation
+sequence, so no shard renumbers; a rule leaving is dropped from its hosts
+and every table entry it alone kept alive is pruned.  No delta moves an
+installed rule.  Placements move only at a **full plan** — homes and
+splits chosen afresh over the whole base, applied to the shards as a
+placement diff — which runs only with no event in flight (an evaluator
+must not move between two replicas' copies of one event) and only when a
+rule set is installed or removed, ``refresh()`` is called, the rules on
+delta placements plus the arriving batch reach the size of the last full
+plan (a growable array's doubling rule: amortised O(1) re-plans per
+rule), or the arriving rule would have to be replicated across a split
+label's value shards (a fresh plan may find an axis it pins; once the
+label is delivered everywhere the next such rule is a delta).  Surviving
+evaluators re-plan their joins from observed rates only at a full plan,
+as a single engine does only at ``refresh()``; the balance contract is
+stated in ``docs/ARCHITECTURE.md`` ("Sharded nodes").
+
 Every replica sees the full stream of events its query is interested in
 (the router delivers an event to each shard hosting an interested rule),
 so all replicas hold *identical* evaluator state — but only one shard per
@@ -107,6 +130,7 @@ import itertools
 import zlib
 from collections import deque
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 from repro.core.engine import (
     EngineConfig,
@@ -118,7 +142,6 @@ from repro.core.engine import (
 from repro.core.rules import ECARule
 from repro.core.rulesets import RuleSet, compile_group_specs
 from repro.errors import RecursionRejected, RuleError
-from repro.events.factory import resolve_evaluator
 from repro.events.model import Event
 from repro.events.queries import EventInterest, extract_axis_value, query_interest
 from repro.terms.ast import canonical_str
@@ -145,22 +168,136 @@ def shard_of(label: str, n_shards: int) -> int:
 _AMBIGUOUS = object()
 
 
-class _Plan:
-    """One deterministic partitioning of the rule base (pure data)."""
+class _Placed(NamedTuple):
+    """One installed rule as the router holds it."""
 
-    def __init__(self) -> None:
-        self.order: dict[str, int] = {}          # name -> global install seq
-        self.placement: dict[str, tuple[int, ...]] = {}
-        self.time_primary: dict[str, int] = {}   # name -> firing shard at wake-ups
+    seq: tuple  # global installation sequence, in the engine's tuple shape
+    rule: ECARule
+    interest: EventInterest  # the rule's own: what its hosts dispatch on
+    planned: EventInterest   # what it is placed by: its group's union
+    hosts: tuple             # shards; hosts[0] fires at wake-ups
+
+
+class _Plan:
+    """The partition tables, kept live: a delta edits them in place.
+
+    ``place`` puts one rule onto the tables as they stand; ``unplace``
+    takes it off and prunes every entry it alone kept alive.  A full plan
+    is a new ``_Plan`` whose ``home`` / ``splits`` are chosen over the
+    whole base before every rule is placed onto them.
+    """
+
+    def __init__(self, n_shards: int) -> None:
+        self.rules: dict[str, _Placed] = {}
         self.home: dict[str, int] = {}           # unsplit label -> shard
         # Trie-prefix partitioning: every hot label may split on its own
         # (kind, key) axis — label -> ((kind, key), value -> shard).
         self.splits: dict[str, tuple[tuple[str, str], dict]] = {}
-        self.needs: dict[str, frozenset[int]] = {}  # label -> shards needing a copy
-        self.has_wildcard = False
-        # Per shard: the rule names whose time_primary it is — the fire set
-        # stamped on each copy of an ambiguous event.
-        self.primary_names: tuple[frozenset, ...] = ()
+        # label -> shard -> rules needing the label's events there (beyond
+        # the firing shard): every hosted interested rule — except
+        # single-label rules pinning a split label's axis, whose events
+        # the value table already routes to exactly their shard.
+        self.needs: dict[str, dict[int, int]] = {}
+        # label or (split label, value) -> rules keeping that entry alive.
+        self.refs: dict = {}
+        self.wildcards = 0
+        self.loads = [0] * n_shards              # rules hosted per shard
+        # Per shard: the rules it fires at wake-ups — the fire set handed
+        # to each copy of an ambiguous event.  Queued copies share the
+        # live set: every change to it re-stamps what is still pending
+        # (`_requeue_pending`), so a snapshot could never read differently.
+        self.primary_names: tuple[set, ...] = tuple(
+            set() for _ in range(n_shards))
+
+    def copy(self) -> "_Plan":
+        """Independent tables over the same (immutable) rule records."""
+        twin = _Plan(0)
+        vars(twin).update(copy.deepcopy(
+            {key: value for key, value in vars(self).items() if key != "rules"}))
+        twin.rules = dict(self.rules)
+        return twin
+
+    def _pinned(self, planned: EventInterest):
+        """``(label, value)`` when the split value table alone routes the
+        rule: one label, split, with a constant on the split axis."""
+        if planned.labels is not None and len(planned.labels) == 1:
+            label, = planned.labels
+            split = self.splits.get(label)
+            if split is not None:
+                value = _axis_value(planned, label, split[0])
+                if value is not None:
+                    return label, value
+        return None
+
+    def widens(self, planned: EventInterest) -> bool:
+        """Whether placing the rule would start delivering a split label's
+        events to every shard (a residual or label-spanning rule)."""
+        return self._pinned(planned) is None and any(
+            label in self.splits
+            and len(self.needs.get(label, ())) < len(self.loads)
+            for label in planned.labels or ())
+
+    def _lightest(self) -> int:
+        return min(range(len(self.loads)), key=lambda i: (self.loads[i], i))
+
+    def place(self, name: str, seq: tuple, rule: ECARule,
+              interest: EventInterest, planned: EventInterest) -> _Placed:
+        labels = planned.labels
+        pinned = self._pinned(planned)
+        if pinned is not None:
+            value_shard = self.splits[pinned[0]][1]
+            if pinned[1] not in value_shard:
+                value_shard[pinned[1]] = self._lightest()
+            hosts = (value_shard[pinned[1]],)
+        elif labels is None or labels & self.splits.keys():
+            # A wildcard sees everything, a residual every event of the
+            # split label; a spanning rule may fire on any value shard.
+            hosts = tuple(range(len(self.loads)))
+        else:
+            for label in sorted(labels):
+                if label not in self.home:
+                    self.home[label] = self._lightest()
+            hosts = tuple(sorted({self.home[label] for label in labels}))
+        self._count(labels, pinned, hosts, 1)
+        self.primary_names[hosts[0]].add(name)
+        placed = self.rules[name] = _Placed(seq, rule, interest, planned, hosts)
+        return placed
+
+    def unplace(self, name: str) -> _Placed:
+        placed = self.rules.pop(name)
+        self.primary_names[placed.hosts[0]].discard(name)
+        self._count(placed.planned.labels, self._pinned(placed.planned),
+                    placed.hosts, -1)
+        return placed
+
+    def _count(self, labels, pinned, hosts, step: int) -> None:
+        for si in hosts:
+            self.loads[si] += step
+        if labels is None:
+            self.wildcards += step
+            return
+        if pinned is not None and not _bump(self.refs, pinned, step):
+            del self.splits[pinned[0]][1][pinned[1]]
+        for label in labels:
+            if pinned is None:
+                row = self.needs.setdefault(label, {})
+                for si in hosts:
+                    _bump(row, si, step)
+                if not row:
+                    del self.needs[label]
+            if not _bump(self.refs, label, step):
+                self.home.pop(label, None)
+                self.splits.pop(label, None)
+
+
+def _bump(counts: dict, key, step: int) -> int:
+    """Add *step* to a refcount, dropping the entry at zero."""
+    count = counts.get(key, 0) + step
+    if count:
+        counts[key] = count
+    else:
+        del counts[key]
+    return count
 
 
 class ShardRouter:
@@ -187,7 +324,6 @@ class ShardRouter:
         self.node = node
         self.config = config
         self.n_shards = config.shards
-        self._factory = resolve_evaluator(config.evaluator)
         # Shards get the per-engine knobs only: node-level delivery is
         # applied once below, event views are expanded here (a derived
         # event's label may live on a different shard), and shards=1 so
@@ -213,6 +349,7 @@ class ShardRouter:
         self.inbox_peaks = [0] * self.n_shards
         self._inboxes = tuple(deque() for _ in range(self.n_shards))
         self._seq = itertools.count()
+        self._next_single = itertools.count()  # singles' global seqs (0, i)
         self._started_seq = -1  # highest seq whose first copy was processed
         self._dispatch_depth = 0  # > 0 while a shard is mid-dispatch/advance
         self._drain_scheduled = False
@@ -221,24 +358,29 @@ class ShardRouter:
         # uninstall semantics and error messages stay in lock-step.
         self._single_rules: dict[str, ECARule] = {}
         self._rulesets: list[RuleSet] = []
-        self._named: list[tuple[str, ECARule]] = []
-        self._validated: dict[str, ECARule] = {}
         self._group_specs: dict[str, tuple[str, str, float]] = {}
-        self._plan = _Plan()
+        self._plan = _Plan(self.n_shards)
+        # The doubling rule's books: rules the last full plan placed, rules
+        # on delta placements since, full plans run (tests and reports).
+        self._planned = 0
+        self._delta: set[str] = set()
+        self.full_plans = 0
         node.on_event(self.handle_event)
 
     # -- rule management ------------------------------------------------------
 
     def install(self, item: "ECARule | RuleSet") -> None:
-        """Install a rule or a whole rule set (re-partitions)."""
+        """Install a rule or a whole rule set."""
         self.install_all((item,))
 
     def install_all(self, items, procedures=()) -> None:
         """Install many rules / rule sets (and procedures) in one batch.
 
-        Same contract as :meth:`ReactiveEngine.install_all`: atomic — a
-        rejected item restores the previous rule base on every shard
-        before the error propagates, and no procedure is defined.
+        Same contract as :meth:`ReactiveEngine.install_all`: atomic — every
+        evaluator is built before the first shard is touched, so a
+        rejected item leaves the rule base as it was, and no procedure is
+        defined.  Plain rules are *deltas*, O(trie depth) each, unless a
+        full plan is due (module docstring); a rule set plans in full.
         """
         procedures = tuple(procedures)
         pending: set[str] = set()
@@ -246,68 +388,102 @@ class ShardRouter:
             if name in self.engines[0]._procedures or name in pending:
                 raise RuleError(f"procedure {name!r} already defined")
             pending.add(name)
-        saved_rules = dict(self._single_rules)
-        saved_sets = list(self._rulesets)
-        try:
-            for item in items:
-                if isinstance(item, RuleSet):
-                    self._rulesets.append(item)
-                elif isinstance(item, ECARule):
-                    if item.name in self._single_rules:
-                        raise RuleError(f"rule {item.name!r} already installed")
-                    self._single_rules[item.name] = item
-                else:
-                    raise RuleError(f"cannot install {item!r}")
-            self._reroute()
-        except Exception:
-            self._single_rules = saved_rules
-            self._rulesets = saved_sets
-            self._reroute()
-            raise
+        items = tuple(items)
+        rules = {}
+        for item in items:
+            if isinstance(item, ECARule):
+                if item.name in self._single_rules or item.name in rules:
+                    raise RuleError(f"rule {item.name!r} already installed")
+                if item.name in self._plan.rules:
+                    raise RuleError(f"duplicate rule name {item.name!r}")
+                rules[item.name] = item
+            elif not isinstance(item, RuleSet):
+                raise RuleError(f"cannot install {item!r}")
+        interests = {name: query_interest(rule.event)
+                     for name, rule in rules.items()}
+        full = len(rules) < len(items)
+        if not full and self._quiescent():
+            full = (len(self._delta) + len(rules) >= self._planned
+                    or any(map(self._plan.widens, interests.values())))
+        if full:
+            self._replan({**self._single_rules, **rules}, self._rulesets
+                         + [item for item in items if isinstance(item, RuleSet)])
+        else:
+            self._install_delta(rules, interests)
         for name, params, action in procedures:
             self.define_procedure(name, tuple(params), action)
+
+    def _install_delta(self, rules: dict, interests: dict) -> None:
+        """Place only the arriving rules, forward each to only its hosts."""
+        plan = self._plan
+        built = {}
+        try:
+            for name, rule in rules.items():
+                placed = plan.place(name, (0, next(self._next_single)), rule,
+                                    interests[name], interests[name])
+                built[name] = self.engines[placed.hosts[0]].build_evaluator(rule)
+        except Exception:
+            for name in rules:
+                if name in plan.rules:
+                    plan.unplace(name)
+            raise
+        self._single_rules.update(rules)
+        self._delta.update(rules)
+        for name, evaluator in built.items():
+            placed = plan.rules[name]
+            self._host(name, placed, {placed.hosts[0]: evaluator})
+        self._requeue_pending(frozenset(rules))
 
     def uninstall(self, item: "str | ECARule | RuleSet") -> None:
         """Remove an installed rule or rule set, by object or by name.
 
         Mirrors :meth:`ReactiveEngine.uninstall` (same resolution branches
-        and error messages); the re-partition drops the rule from *every*
-        shard it was routed or replicated to.
+        and error messages).  A plain rule is dropped from exactly its
+        hosts and the table entries it alone kept alive are pruned;
+        removing a rule set plans in full.
         """
         if isinstance(item, RuleSet):
             if not any(existing is item for existing in self._rulesets):
                 raise RuleError(
                     f"rule set {item.name!r} is not installed ({self._summary()})"
                 )
-            self._rulesets = [rs for rs in self._rulesets if rs is not item]
+            rulesets = [rs for rs in self._rulesets if rs is not item]
         elif isinstance(item, ECARule):
             # Structural equality, not identity (meta round-trips compare equal).
             if self._single_rules.get(item.name) != item:
                 raise RuleError(
                     f"rule {item.name!r} is not installed ({self._summary()})"
                 )
-            del self._single_rules[item.name]
+            return self._retire(item.name)
         elif isinstance(item, str):
             if item in self._single_rules:
-                del self._single_rules[item]
-            else:
-                named_sets = [rs for rs in self._rulesets if rs.name == item]
-                if not named_sets:
-                    raise RuleError(
-                        f"no installed rule or rule set {item!r} ({self._summary()})"
-                    )
-                self._rulesets.remove(named_sets[0])
+                return self._retire(item)
+            named_sets = [rs for rs in self._rulesets if rs.name == item]
+            if not named_sets:
+                raise RuleError(
+                    f"no installed rule or rule set {item!r} ({self._summary()})"
+                )
+            rulesets = [rs for rs in self._rulesets if rs is not named_sets[0]]
         else:
             raise RuleError(f"cannot uninstall {item!r}")
-        self._reroute()
+        self._replan(self._single_rules, rulesets)
+
+    def _retire(self, name: str) -> None:
+        del self._single_rules[name]
+        self._delta.discard(name)
+        placed = self._plan.unplace(name)
+        for si in placed.hosts:
+            self.engines[si].drop_rule(name, placed.interest)
+        self._requeue_pending(frozenset())
 
     def rules(self) -> list[str]:
         """Names of the active rules, in global installation order."""
-        return [name for name, _rule in self._named]
+        placed = self._plan.rules
+        return sorted(placed, key=lambda name: placed[name].seq)
 
     def refresh(self) -> None:
-        """Recompute the partitioning (e.g. after toggling a rule set)."""
-        self._reroute()
+        """Re-plan the whole base (e.g. after toggling a rule set)."""
+        self._replan(self._single_rules, self._rulesets)
 
     def define_procedure(self, name: str, params: tuple[str, ...], action) -> None:
         """Register a procedure on every shard (any shard's rule may CALL it)."""
@@ -326,124 +502,106 @@ class ShardRouter:
 
     # -- partitioning ---------------------------------------------------------
 
-    def _decompose(self) -> list[tuple[str, ECARule]]:
-        """Flatten installed items to (name, rule) in the engine's order.
+    def _quiescent(self) -> bool:
+        """No event in flight: a rule firing (the engine's entries snapshot
+        still running over not-yet-advanced evaluators) or queued copies
+        mean some replica has yet to consume what another already has, and
+        moving or copying an evaluator would fork state."""
+        return self._dispatch_depth == 0 and not any(self._inboxes)
 
-        :meth:`ReactiveEngine.refresh` activates all single rules first
-        (in installation order) and then every rule set's qualified rules
-        (in rule-set installation order) — shards=1 firing order follows
-        it, so the router's global order must match exactly, not the raw
-        install interleaving.
+    def _decompose(self, singles: dict, rulesets: list) -> dict[str, tuple]:
+        """Flatten the items to name -> (global seq, rule, interest).
+
+        Sequences have the engine's shape and order — singles ``(0, i)``
+        in installation order (a single keeps the seq it arrived at), then
+        rule-set rules ``(1, set, member)`` — since shards=1 firing order
+        follows it.  Only a rule not yet placed has its interest derived.
         """
-        named: list[tuple[str, ECARule]] = list(self._single_rules.items())
-        seen: set[str] = set(self._single_rules)
-        for ruleset in self._rulesets:
-            for qualified, rule, _owner in ruleset.qualified():
-                if qualified in seen:
+        old = self._plan.rules
+        rows: dict[str, tuple] = {}
+        for name, rule in singles.items():
+            was = old.get(name)
+            rows[name] = ((0, next(self._next_single)) if was is None
+                          or was.seq[0] else was.seq, rule)
+        for j, ruleset in enumerate(rulesets):
+            for k, (qualified, rule, _owner) in enumerate(ruleset.qualified()):
+                if qualified in rows:
                     raise RuleError(f"duplicate rule name {qualified!r}")
-                seen.add(qualified)
-                named.append((qualified, rule))
-        return named
+                rows[qualified] = ((1, j, k), rule)
+        return {name: (seq, rule, old[name].interest
+                       if name in old and old[name].rule is rule
+                       else query_interest(rule.event))
+                for name, (seq, rule) in rows.items()}
 
-    def _reroute(self) -> None:
-        """Re-partition the rule base and re-route queued events."""
-        named = self._decompose()
-        # Validate new rules' event queries *before* mutating any shard, so
-        # install_all's restore path never faces a half-synced fleet.  The
-        # probe builds through the configured factory: a custom mechanism
-        # rejecting a query must reject it here, not mid-sync.
-        for name, rule in named:
-            if self._validated.get(name) is not rule:
-                self._factory.build(rule.event)
-        new_names = frozenset(
-            name for name, _rule in named if name not in self._plan.order
-        )
-        self._group_specs = compile_group_specs(self._rulesets)
-        # Rebalancing moves evaluators between shards, which is only sound
-        # when every replica has consumed its whole stream — i.e. when no
-        # event is in flight.  A re-partition triggered by a firing rule
-        # (install mid-dispatch or mid-wake-up: `_dispatching`, with the
-        # engine's entries snapshot still running over not-yet-advanced
-        # evaluators) or while copies of an event are still queued
-        # therefore freezes existing placements and only *adds* new rules,
-        # whose fresh evaluators are safe anywhere.
-        plan = self._compute_plan(
-            named, frozen=self._dispatch_depth > 0 or any(self._inboxes)
-        )
-        self._apply_plan(named, plan)
-        self._named = named
-        self._plan = plan
-        self._validated = dict(named)
-        self._requeue_pending(new_names)
+    def _replan(self, singles: dict, rulesets: list) -> None:
+        """Plan the base *singles* + *rulesets*, move the fleet onto it.
 
-    def _compute_plan(self, named, frozen: bool = False) -> _Plan:
-        """Pure, deterministic placement of *named* over the shards.
-
-        ``frozen=True`` is the in-flight variant: surviving rules keep
-        their current shards (no evaluator ever moves under a partially
-        delivered event) and only new rules are placed, onto the existing
-        label-home / split tables.
+        Quiescent, this is a *full plan*: fresh tables (`_fresh_plan`),
+        the one place evaluators move.  With an event in flight every
+        surviving rule stays where it is and the difference is placed by
+        delta onto a copy of the live tables.  Either way nothing changes
+        until every new rule's evaluator is built (a rejected rule leaves
+        the node as it was), and then the shards see only the difference.
         """
-        plan = _Plan()
-        interests: dict[str, EventInterest] = {}
-        for seq, (name, rule) in enumerate(named):
-            plan.order[name] = seq
-            interests[name] = query_interest(rule.event)
+        rows = self._decompose(singles, rulesets)
+        specs = compile_group_specs(rulesets)
         # Combinator group members are planned with their group's *union*
         # interest: identical interests mean identical placements, so the
         # group's answering members always meet on the event's firing
         # shard and dispatch-time winner resolution stays engine-local.
-        if self._group_specs:
-            union: dict[str, EventInterest] = {}
-            for name, interest in interests.items():
-                spec = self._group_specs.get(name)
-                if spec is not None:
-                    gid = spec[0]
-                    held = union.get(gid)
-                    union[gid] = interest if held is None else held.union(interest)
-            for name in interests:
-                spec = self._group_specs.get(name)
-                if spec is not None:
-                    interests[name] = union[spec[0]]
-        label_rules: dict[str, list[str]] = {}
-        for name, _rule in named:
-            interest = interests[name]
-            if interest.by_label is None:
-                plan.has_wildcard = True
-                continue
-            for label in sorted(interest.labels):
-                label_rules.setdefault(label, []).append(name)
-        if frozen:
-            self._place_frozen(named, plan, interests)
+        union: dict[str, EventInterest] = {}
+        for name, (gid, _kind, _prec) in specs.items():
+            own = rows[name][2]
+            union[gid] = union[gid].union(own) if gid in union else own
+        table = {name: row + (union[specs[name][0]] if name in specs
+                              else row[2],)
+                 for name, row in rows.items()}
+        old = self._plan.rules
+        full = self._quiescent()
+        if full:
+            plan = self._fresh_plan(table)
         else:
-            self._place_fresh(named, plan, interests, label_rules)
+            plan = self._plan.copy()
+            for name, was in old.items():
+                if name not in table or table[name][1] is not was.rule:
+                    plan.unplace(name)
+            for name, row in table.items():
+                if name in plan.rules:
+                    plan.rules[name] = plan.rules[name]._replace(seq=row[0])
+                else:
+                    plan.place(name, *row)
+        built = {name: self.engines[now.hosts[0]].build_evaluator(now.rule)
+                 for name, now in plan.rules.items()
+                 if name not in old or old[name].rule is not now.rule}
+        self._single_rules, self._rulesets = singles, rulesets
+        self._plan = plan
+        self._group_specs = specs
+        self._apply(old, built)
+        for engine in self.engines:
+            engine._groups = specs
+            if full:
+                # Survivors reorder their join plans from the rates seen so
+                # far here and only here, like a single engine's refresh.
+                rates = engine.label_rates()
+                for _rule, evaluator in engine._active.values():
+                    if hasattr(evaluator, "replan"):
+                        evaluator.replan(rates)
+        if full:
+            self.full_plans += 1
+            self._planned = len(table)
+            self._delta.clear()
+        self._requeue_pending(frozenset(built))
 
-        # Which shards must *see* each label's events (beyond the firing
-        # shard): every shard hosting an interested rule — except
-        # single-label rules pinning a split label's axis, whose events
-        # the value table already routes to exactly their shard.
-        needs: dict[str, set[int]] = {label: set() for label in label_rules}
-        for name, _rule in named:
-            interest = interests[name]
-            if interest.by_label is None:
-                continue  # wildcards live everywhere; delivery covers all shards
-            for label in interest.labels:
-                split = plan.splits.get(label)
-                if (split is not None
-                        and interest.labels == frozenset((label,))
-                        and _axis_value(interest, label, split[0]) is not None):
-                    continue
-                needs[label].update(plan.placement[name])
-        plan.needs = {label: frozenset(shards) for label, shards in needs.items()}
-        primary: list[set] = [set() for _ in range(self.n_shards)]
-        for name, si in plan.time_primary.items():
-            primary[si].add(name)
-        plan.primary_names = tuple(frozenset(names) for names in primary)
-        return plan
-
-    def _place_fresh(self, named, plan: _Plan, interests, label_rules) -> None:
-        """Full rebalance (quiescent inboxes): greedy homes + hot splits."""
+    def _fresh_plan(self, table: dict) -> _Plan:
+        """Greedy homes + hot splits over the whole base (pure)."""
         n = self.n_shards
+        plan = _Plan(n)
+        label_rules: dict[str, list[str]] = {}
+        interests = {}
+        for name, (_seq, _rule, _own, planned) in table.items():
+            interests[name] = planned
+            for label in sorted(planned.labels or ()):
+                label_rules.setdefault(label, []).append(name)
         # Hot-label splits: every label holding more than a fair share of
         # the rule base, all its rules single-label, discriminating on a
         # shared axis with at least two constants, splits independently on
@@ -485,89 +643,11 @@ class ShardRouter:
             shard = min(range(n), key=lambda i: (loads[i], i))
             plan.home[label] = shard
             loads[shard] += len(label_rules[label])
-
-        for name, _rule in named:
-            interest = interests[name]
-            labels = interest.labels
-            split = (plan.splits.get(next(iter(labels)))
-                     if labels is not None and len(labels) == 1 else None)
-            if labels is None:
-                plan.placement[name] = tuple(range(n))
-            elif split is not None:
-                value = _axis_value(interest, next(iter(labels)), split[0])
-                if value is not None:
-                    plan.placement[name] = (split[1][value],)
-                else:  # residual: must see every event of the split label
-                    plan.placement[name] = tuple(range(n))
-            else:
-                # A split label never hosts multi-label rules (the
-                # all-single guard above), so every label here has a home.
-                plan.placement[name] = tuple(sorted(
-                    {plan.home[label] for label in labels}
-                ))
-            plan.time_primary[name] = plan.placement[name][0]
-
-    def _place_frozen(self, named, plan: _Plan, interests) -> None:
-        """In-flight re-partition: nothing moves, new rules slot in.
-
-        Surviving rules keep their exact shard sets (their evaluators may
-        be mid-stream: some replicas have consumed the in-flight event,
-        others still hold its queued copy, so migrating or copying any of
-        them would fork state).  New rules have no state, so any placement
-        is sound; they go onto the existing home/split tables, extending
-        them greedily where a label or axis value is new.
-        """
-        n = self.n_shards
-        old = self._plan
-        plan.home = dict(old.home)
-        plan.splits = {
-            label: (axis, dict(value_shard))
-            for label, (axis, value_shard) in old.splits.items()
-        }
-        loads = [0] * n
-        surviving: dict[str, tuple[int, ...]] = {}
-        for name, rule in named:
-            if self._validated.get(name) is rule and name in old.placement:
-                surviving[name] = old.placement[name]
-                for si in surviving[name]:
-                    loads[si] += 1
-        for name, _rule in named:
-            placement = surviving.get(name)
-            if placement is None:
-                interest = interests[name]
-                labels = interest.labels
-                if labels is None:
-                    placement = tuple(range(n))
-                elif labels & plan.splits.keys():
-                    if len(labels) == 1:
-                        label = next(iter(labels))
-                        axis, value_shard = plan.splits[label]
-                        value = _axis_value(interest, label, axis)
-                        if value is None:  # residual: sees the whole label
-                            placement = tuple(range(n))
-                        else:
-                            shard = value_shard.get(value)
-                            if shard is None:
-                                shard = min(range(n), key=lambda i: (loads[i], i))
-                                value_shard[value] = shard
-                            placement = (shard,)
-                    else:
-                        # A spanning rule on a split label must be able to
-                        # fire on any of the label's per-value fire shards.
-                        placement = tuple(range(n))
-                else:
-                    shards = set()
-                    for label in sorted(interest.labels):
-                        home = plan.home.get(label)
-                        if home is None:
-                            home = min(range(n), key=lambda i: (loads[i], i))
-                            plan.home[label] = home
-                        shards.add(home)
-                    placement = tuple(sorted(shards))
-                for si in placement:
-                    loads[si] += 1
-            plan.placement[name] = placement
-            plan.time_primary[name] = placement[0]
+        # Every label now has a home or a split with all its values, so
+        # placing finds each rule's hosts and extends nothing.
+        for name, row in table.items():
+            plan.place(name, *row)
+        return plan
 
     @staticmethod
     def _pick_axis(label, names, interests) -> "tuple[str, str] | None":
@@ -594,53 +674,47 @@ class ShardRouter:
             counts[axis], len(values[axis]), axis[0] == "attr", axis[1]
         ))
 
-    def _apply_plan(self, named, plan: _Plan) -> None:
-        """Push each shard its slice, migrating evaluator state.
+    def _apply(self, old: dict, built: dict) -> None:
+        """Forward the difference between *old* and the plan to the shards.
 
-        A rule that stays installed keeps its evaluators: replicas hold
-        identical state (they see identical relevant streams), so a shard
-        gaining the rule takes a displaced evaluator when one is free and
-        a deep copy of a surviving one otherwise.  Incoming evaluators are
-        marked touched so pending absence deadlines re-register on their
-        new shard.
+        Everything that leaves a shard, moves or changes seq is dropped
+        before anything is added, so no two rows ever share a seq.
         """
-        current: dict[str, dict[int, tuple]] = {}
-        for si, engine in enumerate(self.engines):
-            for name, (rule, evaluator) in engine._active.items():
-                current.setdefault(name, {})[si] = (rule, evaluator)
-        seeds: list[dict] = [dict() for _ in range(self.n_shards)]
-        arrivals: list[list] = [[] for _ in range(self.n_shards)]
-        for name, rule in named:
-            have = {
-                si: evaluator
-                for si, (old_rule, evaluator) in current.get(name, {}).items()
-                if old_rule is rule
-            }
-            if not have:
-                continue  # new rule: every shard builds a fresh evaluator
-            targets = plan.placement[name]
-            spare = deque(evaluator for si, evaluator in sorted(have.items())
-                          if si not in targets)
-            donor = have[min(have)]
-            for si in targets:
-                if si in have:
-                    continue  # refresh keeps it by identity
-                evaluator = spare.popleft() if spare else copy.deepcopy(donor)
-                seeds[si][name] = (rule, evaluator)
-                arrivals[si].append(evaluator)
-        for si, engine in enumerate(self.engines):
-            engine._active.update(seeds[si])
-            engine.sync_rules(
-                (name, rule) for name, rule in named
-                if si in plan.placement[name]
-            )
-            # sync_rules rebuilt from bare (name, rule) pairs, so the
-            # shard engine has no rule-set structure to compile combinator
-            # specs from: push the router's qualified-name table instead.
-            engine._groups = self._group_specs
-            if arrivals[si]:
-                engine._touched.update(arrivals[si])
-                engine._schedule_wakeups()
+        new = self._plan.rules
+        arrivals = [(name, {new[name].hosts[0]: evaluator})
+                    for name, evaluator in built.items()]
+        for name, was in old.items():
+            now = new.get(name)
+            kept = now is not None and now.rule is was.rule
+            if kept and now.hosts == was.hosts and now.seq == was.seq:
+                continue
+            have = {si: self.engines[si].drop_rule(name, was.interest)
+                    for si in was.hosts}
+            if kept:
+                arrivals.append((name, have))
+        for name, have in arrivals:
+            self._host(name, new[name], have)
+
+    def _host(self, name: str, placed: _Placed, have: dict) -> None:
+        """Add one rule to its hosts — the primitive of delta and full plan.
+
+        *have* holds its evaluators by shard: those just taken off shards,
+        or the one built to validate a new rule, for its first host.
+        Replicas hold identical state (they see identical relevant
+        streams), so a host gaining the rule takes a displaced evaluator
+        when one is free and a deep copy of a surviving one otherwise, and
+        re-registers the pending absence deadlines it carries.
+        """
+        spare = deque(evaluator for si, evaluator in sorted(have.items())
+                      if si not in placed.hosts)
+        for si in placed.hosts:
+            evaluator = have.get(si)
+            if evaluator is None:
+                evaluator = (spare.popleft() if spare
+                             else copy.deepcopy(have[min(have)]))
+            self.engines[si].add_rule(placed.seq, name, placed.rule, evaluator,
+                                      placed.interest)
+            self.engines[si]._schedule_wakeups((evaluator,))
 
     # -- event routing --------------------------------------------------------
 
@@ -676,11 +750,11 @@ class ShardRouter:
                 if len(box) > self.inbox_peaks[si]:
                     self.inbox_peaks[si] = len(box)
             return
-        if self._plan.has_wildcard:
+        if self._plan.wildcards:
             shards = range(self.n_shards)  # wildcard replicas see everything
         else:
-            needs = self._plan.needs.get(event.term.label, frozenset())
-            shards = sorted(needs | {fire})
+            needs = self._plan.needs.get(event.term.label)
+            shards = sorted(needs.keys() | {fire}) if needs else (fire,)
         for si in shards:
             box = self._inboxes[si]
             box.append((seq, event, si == fire, frozenset()))
@@ -715,7 +789,7 @@ class ShardRouter:
         return shard_of(label, self.n_shards)
 
     def _requeue_pending(self, new_names: frozenset) -> None:
-        """Re-route queued events after a re-partition.
+        """Re-route queued events after any change to the tables.
 
         A rule installed mid-run must see the events still queued when it
         arrived (the single engine's inbox guarantees exactly that), so
@@ -723,7 +797,7 @@ class ShardRouter:
         back to one event per sequence number and re-enqueued under the
         new tables.  An event whose processing already *started* (its
         firing copy may be consumed) keeps its remaining copies verbatim,
-        tagged so rules installed by this re-partition never observe it —
+        tagged so rules installed by this change never observe it —
         the same snapshot semantics the single engine's mid-dispatch
         install has, and the guarantee that nothing fires twice.
         """
@@ -772,7 +846,7 @@ class ShardRouter:
             # Ambiguous event: several shards fire disjoint rule sets for
             # the *same* seq, so all its copies are consumed as one unit
             # (popping shard-by-shard would fire shard-major).
-            ambiguous = isinstance(self._inboxes[best][0][2], frozenset)
+            ambiguous = isinstance(self._inboxes[best][0][2], set)
             if ambiguous:
                 involved = [si for si in range(self.n_shards)
                             if self._inboxes[si]
@@ -813,7 +887,7 @@ class ShardRouter:
         before the raise have fired.
         """
         rows: list = []
-        order = self._plan.order
+        placed = self._plan.rules
         group_specs = self._group_specs
         self._dispatch_depth += 1
         try:
@@ -830,7 +904,7 @@ class ShardRouter:
                         engine.collector = None
                         for k, (name, rule, bindings) in enumerate(collected):
                             rows.append((name in group_specs,
-                                         order.get(name, len(order)), k,
+                                         placed[name].seq, k,
                                          si, rule, bindings))
             finally:
                 rows.sort(key=lambda row: row[:3])
@@ -858,8 +932,8 @@ class ShardRouter:
         Each engine's deadline owners are pulled and merged by global
         installation sequence (replicas of one rule sort adjacently, by
         shard), so absence answers at a shared deadline fire exactly as a
-        single engine would; only each rule's designated shard fires, the
-        other replicas dedup.  ``coalesced_wakeups=False`` advances every
+        single engine would; only each rule's first host fires, the other
+        replicas dedup.  ``coalesced_wakeups=False`` advances every
         active evaluator on every shard instead — the E14 ablation.
 
         Combinator members may answer at a shared deadline on different
@@ -870,17 +944,26 @@ class ShardRouter:
         winners in engine order instead.
         """
         self._pending_wakeups.discard(when)
-        merged = self._due_rows(when)
-        time_primary = self._plan.time_primary
+        placed = self._plan.rules
+        merged = []  # (seq, shard, rule, evaluator, engine, fires here?)
+        for si, engine in enumerate(self.engines):
+            owners = engine.take_due(when)
+            if not self._coalesced:
+                owners = [evaluator
+                          for _rule, evaluator in engine._active.values()]
+            for evaluator in owners:
+                seq, name, rule = engine._eval_entry[evaluator]
+                merged.append((seq, si, rule, evaluator, engine,
+                               si == placed[name].hosts[0]))
+        merged.sort(key=lambda row: row[:2])
         advanced: dict = {}
         buffer: "list | None" = [] if self._group_specs else None
         for engine in self.engines:
             engine._group_buffer = buffer
-        self._dispatch_depth += 1  # installs from absence firings must freeze
+        self._dispatch_depth += 1  # installs from absence firings are in flight
         try:
-            for _gseq, si, name, rule, evaluator, engine in merged:
-                engine.advance_evaluator(when, rule, evaluator,
-                                         fire=(si == time_primary[name]))
+            for _seq, _si, rule, evaluator, engine, fire in merged:
+                engine.advance_evaluator(when, rule, evaluator, fire=fire)
                 advanced[engine] = None
             if buffer:
                 resolve_group_answers(buffer)
@@ -892,49 +975,12 @@ class ShardRouter:
             engine.stats.wakeups += 1
             engine._schedule_wakeups()
 
-    def _due_rows(self, when: float) -> list:
-        """The evaluators to advance at *when*, in global firing order.
-
-        Rows are ``(global install seq, host shard, name, rule, evaluator,
-        host engine)``, sorted by (seq, shard) — the order they are
-        advanced and fired in.
-        """
-        order = self._plan.order
-        merged = []
-        seen: set[int] = set()
-        for si, engine in enumerate(self.engines):
-            owners = engine._deadline_owners.pop(when, set())
-            if self._coalesced:
-                candidates = owners
-            else:
-                candidates = [evaluator
-                              for _rule, evaluator in engine._active.values()]
-            for evaluator in candidates:
-                # An in-flight re-partition may have moved the evaluator
-                # since it registered this deadline: redirect to its
-                # current host engine; truly uninstalled owners drop.
-                host_idx, host = si, engine
-                if evaluator not in host._eval_entry:
-                    for sj, other in enumerate(self.engines):
-                        if evaluator in other._eval_entry:
-                            host_idx, host = sj, other
-                            break
-                    else:
-                        continue
-                if id(evaluator) in seen:
-                    continue  # already collected via its own registration
-                seen.add(id(evaluator))
-                _local_seq, name, rule = host._eval_entry[evaluator]
-                merged.append((order[name], host_idx, name, rule,
-                               evaluator, host))
-        merged.sort(key=lambda row: (row[0], row[1]))
-        return merged
-
     # -- introspection --------------------------------------------------------
 
     def placement(self) -> dict[str, tuple[int, ...]]:
         """Rule name -> shard indices it is installed on (copy)."""
-        return dict(self._plan.placement)
+        return {name: placed.hosts
+                for name, placed in self._plan.rules.items()}
 
     def mechanism_report(self) -> dict[str, dict]:
         """Per-rule mechanism snapshot, merged across the fleet.

@@ -598,3 +598,307 @@ class TestMidInstant:
         single = self._run_until_matcher_error(events)
         assert single == (["ok"], True)
         assert self._run_until_matcher_error(events, shards=2) == single
+
+
+def pinned(i, label="stock", tag=None, fired=None):
+    """A single-label rule pinning axis value ``S{i}`` on *label*."""
+    return eca(f"r{i}", EAtom(q(label, q("p", Var("P")), sym=f"S{i}")),
+               recorder([] if fired is None else fired, i if tag is None else tag))
+
+
+class TestDeltaPlacement:
+    """The balance contract: placements move at full plans only, and a full
+    plan is due by the doubling rule (or a rule set, or refresh())."""
+
+    def test_one_by_one_installs_double_into_an_even_split(self):
+        sim, node = sharded_node(4)
+        planned_at = []
+        for i in range(64):
+            before = node.router.full_plans
+            node.install(pinned(i))
+            if node.router.full_plans > before:
+                planned_at.append(i + 1)
+        # A full plan whenever the deltas since the last one reach its
+        # size — 7 plans for 64 rules, not 64.
+        assert planned_at == [1, 2, 4, 8, 16, 32, 64]
+        assert sorted(len(engine.rules()) for engine in node.shards) == [16] * 4
+        assert node.rules() == [f"r{i}" for i in range(64)]
+
+    def test_full_plan_equals_one_batch_into_a_fresh_node(self):
+        rules = [pinned(i) for i in range(24)] + [
+            eca(f"e{i}", EAtom(q(f"evt-{i}", Var("X"))), recorder([], i))
+            for i in range(6)]
+        sim, grown = sharded_node(4)
+        for rule in rules:
+            grown.install(rule)
+        assert len(grown.router._delta) > 0  # the tail sits on deltas
+        grown.router.refresh()
+        sim, batch = sharded_node(4)
+        batch.install(*rules)
+        assert grown.router.placement() == batch.router.placement()
+        assert grown.router._plan.splits == batch.router._plan.splits
+        assert grown.router._plan.home == batch.router._plan.home
+        assert grown.router._plan.needs == batch.router._plan.needs
+
+    def test_deltas_between_two_full_plans_never_exceed_the_last_plan(self):
+        sim, node = sharded_node(4)
+        router = node.router
+        for i in range(100):
+            node.install(pinned(i))
+            assert len(router._delta) <= router._planned
+            if i % 3 == 0:
+                node.uninstall(f"r{i}")  # retiring frees its delta slot
+                assert f"r{i}" not in router._delta
+
+    def test_a_delta_moves_no_installed_rule(self):
+        sim, node = sharded_node(4)
+        node.install(*(pinned(i) for i in range(16)))
+        before = node.router.placement()
+        evaluators = {name: engine._active[name][1]
+                      for engine in node.shards for name in engine._active}
+        node.install(pinned(16), pinned(17),
+                     eca("new-label", EAtom(q("fresh", Var("X"))), recorder([], 0)))
+        after = node.router.placement()
+        assert {name: after[name] for name in before} == before
+        assert all(engine._active[name][1] is evaluators[name]
+                   for engine in node.shards for name in engine._active
+                   if name in evaluators)
+        assert node.router.full_plans == 1
+
+    def test_first_residual_on_a_split_label_replans_then_deltas(self):
+        """A rule that must be replicated across a split label's value
+        shards widens the label's delivery to every shard: quiescent, that
+        is planned in full (a fresh plan may find an axis it pins); with
+        the label already delivered everywhere, the next one is a delta."""
+        sim, node = sharded_node(4)
+        node.install(*(pinned(i) for i in range(16)))
+        node.install(eca("audit", EAtom(q("stock", Var("X"))), recorder([], 0)))
+        assert node.router.full_plans == 2
+        assert node.router.placement()["audit"] == (0, 1, 2, 3)
+        node.install(eca("audit2", EAtom(q("stock", Var("X"))), recorder([], 0)))
+        assert node.router.full_plans == 2
+
+    def test_rejected_delta_leaves_tables_and_shards_untouched(self):
+        from repro.events.factory import resolve_evaluator
+
+        inner = resolve_evaluator("incremental")
+
+        def picky(query, rates=None):
+            if "poison" in str(query):
+                raise RuleError("rejected by the mechanism")
+            return inner.build(query, rates)
+
+        sim, node = sharded_node(4, evaluator=picky)
+        node.install(*(pinned(i) for i in range(16)))
+        before = TestBoundedRouterState.sizes(node.router)
+        with pytest.raises(RuleError, match="rejected by the mechanism"):
+            node.install(pinned(16),
+                         eca("new-label", EAtom(q("fresh", Var("X"))), recorder([], 0)),
+                         eca("bad", EAtom(q("poison", Var("X"))), recorder([], 0)))
+        assert TestBoundedRouterState.sizes(node.router) == before
+        assert node.rules() == [f"r{i}" for i in range(16)]
+
+
+class TestBoundedRouterState:
+    @staticmethod
+    def sizes(router):
+        plan = router._plan
+        return {
+            "rules": sorted(plan.rules),
+            "home": dict(plan.home),
+            "splits": {label: (axis, dict(value_shard))
+                       for label, (axis, value_shard) in plan.splits.items()},
+            "needs": {label: dict(row) for label, row in plan.needs.items()},
+            "refs": dict(plan.refs),
+            "wildcards": plan.wildcards,
+            "loads": list(plan.loads),
+            "primary": [sorted(names) for names in plan.primary_names],
+            "delta": sorted(router._delta),
+            "singles": sorted(router._single_rules),
+            "active": sum(len(engine._active) for engine in router.engines),
+            "entries": sum(len(engine._eval_entry) for engine in router.engines),
+            "trie roots": [sorted(engine._index) for engine in router.engines],
+            "wild rows": sum(len(engine._wildcard_rows)
+                             for engine in router.engines),
+            "deadlines": sum(len(engine._owned_instants)
+                             for engine in router.engines),
+        }
+
+    def test_deploy_retire_cycles_leave_every_table_at_its_first_size(self):
+        """5 000 deploy/retire cycles — a value-pinned rule on the split
+        label, a rule on a label of its own, a label-spanning absence rule
+        and a wildcard, alternately through the API and through fired
+        INSTALL / UNINSTALL actions — prune all they added."""
+        from repro.core.actions import InstallRule, UninstallRule
+        from repro.core.meta import rule_to_term
+        from repro.lang.parser import parse_action
+
+        sim, node = sharded_node(4)
+        node.install(
+            *(pinned(i) for i in range(40)),
+            eca("audit", EAtom(q("stock", Var("X"))), recorder([], "audit")),
+            eca("deploy", EAtom(q("deploy", Var("R", q("eca-rule")))),
+                InstallRule(Var("R"))),
+            eca("retire", EAtom(q("retire", q("name", Var("N")))),
+                UninstallRule(Var("N"))),
+        )
+        note = parse_action('PERSIST seen[var P] INTO "http://s.example/log"')
+
+        def cycle_rules(c):
+            return [
+                eca(f"dyn{c}", EAtom(q("stock", q("p", Var("P")), sym=f"D{c}")), note),
+                eca(f"own{c}", EAtom(q(f"own-{c}", q("p", Var("P")))), note),
+                eca(f"span{c}",
+                    EWithin(ESeq(EAtom(q(f"open-{c}", q("p", Var("P")))),
+                                 ENot(q(f"close-{c}"))), 2.0), note),
+                eca(f"wild{c}", EAtom(q(LabelVar("L"), q("w", Var("P")))), note),
+            ]
+
+        first = self.sizes(node.router)
+        plans = node.router.full_plans
+        for c in range(5000):
+            rules = cycle_rules(c)
+            if c % 10:
+                node.install(*rules)
+                node.uninstall(rules[0])
+                for rule in rules[1:]:
+                    node.uninstall(rule.name)
+            else:  # every tenth cycle travels as events, fired mid-dispatch
+                for rule in rules:
+                    node.raise_local(d("deploy", rule_to_term(rule)))
+                node.raise_local(d(f"open-{c}", d("p", c)))  # plants a deadline
+                for rule in rules:
+                    node.raise_local(d("retire", d("name", rule.name)))
+                sim.run()
+            assert self.sizes(node.router) == first, f"cycle {c}"
+        assert node.router.full_plans == plans
+
+
+class TestAmbiguousFireSets:
+    def test_install_and_uninstall_between_enqueue_and_drain(self):
+        """The per-shard fire sets handed to queued copies of an ambiguous
+        event are edited in place by deltas: a rule installed, and another
+        uninstalled, after the event was queued but before the drain must
+        see (or not see) it exactly as on one engine."""
+
+        def run(shards):
+            sim = Simulation(latency=0.0)
+            node = sim.reactive_node(
+                "http://s.example", config=EngineConfig(shards=shards))
+            fired = []
+            node.install(*(
+                eca(f"r{i}",
+                    EAtom(q("order", q("venue", f"V{i % 4}"), q("x", Var("X")))),
+                    recorder(fired, i))
+                for i in range(8)
+            ))
+            late = eca("late", EAtom(q("order", q("venue", "V1"), q("x", Var("X")))),
+                       recorder(fired, "late"))
+            term = d("order", d("venue", "V0"), d("venue", "V1"), d("x", 1))
+
+            def burst():
+                node.raise_local(term)  # queued: the drain runs after this
+                node.install(late)
+                node.uninstall("r4")
+                node.raise_local(term)
+
+            sim.scheduler.at(0.0, burst)
+            sim.run()
+            return fired, node.stats.rule_firings
+
+        assert run(4) == run(1)
+        assert run(1)[0] == [0, 1, 5, "late"] * 2
+
+
+class TestInstallCost:
+    """Machine-independent cost guard: one plain rule in, one out, at a
+    2 000-rule base — counted calls, not timings."""
+
+    N_RULES, VENUES = 2000, 40
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        import repro.events.incremental as incremental
+        import repro.sharding as sharding
+        from repro.events.factory import resolve_evaluator
+
+        calls = {"build": 0, "interest": 0, "refresh": 0}
+        inner = resolve_evaluator("incremental")
+
+        def build(query, rates=None):
+            calls["build"] += 1
+            return inner.build(query, rates)
+
+        def interest(query, _real=sharding.query_interest):
+            calls["interest"] += 1
+            return _real(query)
+
+        def refresh(self, _real=ReactiveEngine.refresh):
+            calls["refresh"] += 1
+            return _real(self)
+
+        monkeypatch.setattr(sharding, "query_interest", interest)
+        monkeypatch.setattr(incremental, "query_interest", interest)
+        monkeypatch.setattr(ReactiveEngine, "refresh", refresh)
+        sim, node = sharded_node(4, evaluator=build)
+        node.install(*(
+            eca(f"t{i}", EAtom(q("tick", q("symbol", f"S{i // self.VENUES}"),
+                                 q("venue", f"V{i % self.VENUES}"),
+                                 q("price", Var("P")))), recorder([], i))
+            for i in range(self.N_RULES)
+        ))
+        return sim, node, calls
+
+    @staticmethod
+    def probe(k):
+        from repro.lang.parser import parse_action
+
+        return eca(f"dyn{k}", EAtom(q("tick", q("symbol", f"D{k}"),
+                                      q("venue", "V0"), q("price", Var("P")))),
+                   parse_action('PERSIST seen[var P] INTO "http://s.example/log"'))
+
+    def test_quiescent_install_then_uninstall(self, counted):
+        sim, node, calls = counted
+        for key in calls:
+            calls[key] = 0
+        plans = node.router.full_plans
+        node.install(self.probe(0))
+        hosts = node.router.placement()["dyn0"]
+        node.uninstall("dyn0")
+        assert calls == {"build": len(hosts), "interest": 1, "refresh": 0}
+        assert len(hosts) == 1 and node.router.full_plans == plans
+
+    def test_install_then_uninstall_from_firing_actions(self, counted):
+        from repro.core.actions import InstallRule, UninstallRule
+        from repro.core.meta import rule_to_term
+
+        sim, node, calls = counted
+        node.install(
+            eca("deploy", EAtom(q("deploy", Var("R", q("eca-rule")))),
+                InstallRule(Var("R"))),
+            eca("retire", EAtom(q("retire", q("name", Var("N")))),
+                UninstallRule(Var("N"))),
+        )
+        plans = node.router.full_plans
+        deploy = d("deploy", rule_to_term(self.probe(1)))
+        for key in calls:
+            calls[key] = 0
+        node.raise_local(deploy)
+        sim.run()
+        assert node.router.placement()["dyn1"] in [(0,), (1,), (2,), (3,)]
+        node.raise_local(d("retire", d("name", "dyn1")))
+        sim.run()
+        assert "dyn1" not in node.rules()
+        assert calls == {"build": 1, "interest": 1, "refresh": 0}
+        assert node.router.full_plans == plans
+
+    def test_a_replicated_rule_builds_once_and_copies_the_rest(self, counted):
+        sim, node, calls = counted
+        for key in calls:
+            calls[key] = 0
+        node.install(eca("wild", EAtom(q(LabelVar("L"))), recorder([], "w")))
+        assert node.router.placement()["wild"] == (0, 1, 2, 3)
+        evaluators = {id(engine._active["wild"][1]) for engine in node.shards}
+        assert len(evaluators) == 4  # one evaluator per replica, never shared
+        node.uninstall("wild")
+        assert calls == {"build": 1, "interest": 1, "refresh": 0}

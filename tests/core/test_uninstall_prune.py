@@ -112,3 +112,64 @@ class TestRouterEagerPrune:
         sim.run()
         assert processed() == with_residual + 1  # only S0's value shard
         assert fired == [0, "audit", 0]
+
+
+class _CountingDict(dict):
+    """Counts every read that could be part of a walk over all instants."""
+
+    reads = 0
+
+    def _count(self):
+        type(self).reads += 1
+
+    def __getitem__(self, key):
+        self._count()
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self._count()
+        return super().get(key, default)
+
+    def values(self):
+        self._count()
+        return [self._count() or value for value in super().values()]
+
+    def items(self):
+        self._count()
+        return [self._count() or item for item in super().items()]
+
+    def __iter__(self):
+        self._count()
+        return iter([self._count() or key for key in super().keys()])
+
+
+class TestUninstallCostIsTheRulesOwnDeadlines:
+    def test_uninstall_touches_only_the_instants_the_rule_owns(self):
+        """1 000 absence rules each hold one pending deadline at its own
+        instant; uninstalling one of them must look at that one instant,
+        not walk the other 999."""
+        sim, node = single_node()
+        fired = []
+        node.install(*(
+            eca(f"quiet{i}",
+                EWithin(ESeq(EAtom(q(f"start{i}", Var("T"))),
+                             ENot(q(f"stop{i}", Var("T")))), 5.0 + i),
+                recorder(fired, i))
+            for i in range(1000)
+        ))
+        for i in range(1000):
+            node.raise_local(d(f"start{i}", 1))
+        sim.run_until(1.0)
+        engine = node.engine
+        assert len(engine._deadline_owners) == 1000
+        engine._deadline_owners = _CountingDict(engine._deadline_owners)
+        _CountingDict.reads = 0
+        node.uninstall("quiet500")
+        assert _CountingDict.reads <= 2
+        engine._deadline_owners = dict(engine._deadline_owners)
+        sim.run()
+        assert fired == [i for i in range(1000) if i != 500]
+        # Every deadline fired or was pruned: the reverse map holds no
+        # instant any more.
+        assert not any(engine._owned_instants.values())
+        assert not engine._deadline_owners
