@@ -1,7 +1,7 @@
-"""E15: two-level discriminating dispatch vs root-label-only vs broadcast.
+"""E15: two-level discriminating dispatch vs root-label-only.
 
-E13 fixed the many-tenants shape (disjoint labels), but a *high-fanout*
-label defeats a root-label index: 100 rules all watching ``stock`` events
+A root-label index serves the many-tenants shape (disjoint labels), but a
+*high-fanout* label defeats it: 100 rules all watching ``stock`` events
 — each for its own symbol — still broadcast to the whole bucket, and each
 candidate pays an interpreted pattern match.  The engine therefore
 sub-indexes each label bucket by the rules' shared constant discriminator
@@ -14,8 +14,7 @@ symbols — every event is relevant to exactly one rule.  Modes:
 
 - ``discriminating`` — the full two-level net (the default config);
 - ``root-label`` — ``EngineConfig(trie_depth=0)``, the
-  pre-E15 behaviour (first level only);
-- ``broadcast`` — ``EngineConfig(indexed_dispatch=False)``, no index.
+  pre-E15 behaviour (first level only).
 
 The headline metric is **candidates per event** (``EngineStats.
 candidates_considered / events_processed``): root-label considers the
@@ -23,7 +22,7 @@ whole bucket (R), discriminating considers ~1.  The acceptance bar is a
 >= 5x reduction at 100 rules.  A second sweep times the compiled pattern
 matcher (:func:`repro.terms.simulation.compile_pattern`) against the
 interpreted tree-walk on the same patterns — the cost paid by candidates
-that *do* reach a rule.  All modes must agree firing-for-firing.
+that *do* reach a rule.  Both modes must agree firing-for-firing.
 
 Emits ``BENCH_e15.json`` for CI tracking (skipped under ``--smoke``).
 """
@@ -51,7 +50,6 @@ NOOP = PyAction(lambda n, b: None, "noop")
 MODES = {
     "discriminating": EngineConfig(),
     "root-label": EngineConfig(trie_depth=0),
-    "broadcast": EngineConfig(indexed_dispatch=False),
 }
 
 
@@ -127,25 +125,21 @@ def table() -> list[dict]:
             f"dispatch modes disagree at {n_rules} rules: "
             f"{ {m: r['firings'] for m, r in results.items()} }"
         )
-        disc, root, bcast = (
-            results["discriminating"], results["root-label"], results["broadcast"],
-        )
+        disc, root = results["discriminating"], results["root-label"]
         rows.append({
             "rules": n_rules,
             "firings": disc["firings"],
             "disc cand/ev": disc["candidates_per_event"],
             "root cand/ev": root["candidates_per_event"],
-            "bcast cand/ev": bcast["candidates_per_event"],
             "cand reduction": root["candidates_per_event"] / disc["candidates_per_event"],
             "disc ev/s": disc["rate"],
             "root ev/s": root["rate"],
-            "bcast ev/s": bcast["rate"],
             "matcher speedup": matcher_speedup(n_rules, matcher_events),
         })
     return require_columns(
         "e15", rows,
-        ("disc cand/ev", "root cand/ev", "bcast cand/ev",
-         "disc ev/s", "root ev/s", "bcast ev/s", "matcher speedup"),
+        ("disc cand/ev", "root cand/ev",
+         "disc ev/s", "root ev/s", "matcher speedup"),
     )
 
 

@@ -45,7 +45,7 @@ from repro.terms import Data, Var, d, q
 N_EVENTS = 2000
 RULE_GRID = (50, 100, 200)
 SHARD_GRID = (1, 2, 4, 8)
-BURST = 40  # same-instant events per burst, like E14's delivery workload
+BURST = 40  # same-instant events per burst
 
 NOOP = PyAction(lambda n, b: None, "noop")
 

@@ -47,15 +47,13 @@ else branch, and ``.firing("first")`` selects single-firing semantics.
 
 Engines are tuned through :class:`~repro.core.engine.EngineConfig` — the
 one place every knob is documented: consumption policy, deductive event
-views, the dispatch pipeline (broadcast / root-label / discriminating),
-delivery (``sync_delivery`` / ``inbox_batch`` / ``coalesced_wakeups``),
-scale-out (``shards``), and persistence (``store`` — a
-:class:`~repro.store.StoreConfig` swaps a durable WAL- or sqlite-backed
-resource store under the node before anything attaches; reopening on the
-same path recovers committed state, and
-:meth:`ReactiveNode.deliver_replayed` re-notifies the replayed commits
-exactly once) — passed as ``sim.reactive_node(uri,
-config=...)``.
+views, the discrimination trie's depth (``trie_depth``), the inbox drain
+batch (``inbox_batch``), the evaluator mechanism, scale-out (``shards``),
+and persistence (``store`` — a :class:`~repro.store.StoreConfig` swaps a
+durable WAL- or sqlite-backed resource store under the node before
+anything attaches; reopening on the same path recovers committed state,
+and :meth:`ReactiveNode.deliver_replayed` re-notifies the replayed
+commits exactly once) — passed as ``sim.reactive_node(uri, config=...)``.
 
 With ``EngineConfig(shards=N)`` (N > 1) the facade fronts N engine
 shards behind a :class:`~repro.sharding.ShardRouter` instead of a single

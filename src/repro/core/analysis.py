@@ -8,7 +8,7 @@ This module implements the machine-analysability the thesis advertises:
 
 - :func:`trigger_graph` — which rule can trigger which: an edge from rule
   R to rule S when R's action can raise an event whose label S's event
-  query consumes (conservative label-level approximation, via networkx);
+  query consumes (conservative label-level approximation);
 - :func:`find_trigger_cycles` — potential infinite event loops, the classic
   hazard of reactive rule bases;
 - :func:`dead_rules` — rules whose trigger labels no analysed rule (or
@@ -25,10 +25,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-import networkx as nx
-
 from repro.core import actions as act
 from repro.core.rules import ECARule
+from repro.deductive.graph import DiGraph, strongly_connected_components
 from repro.events.queries import (
     EAggregate,
     EAnd,
@@ -122,10 +121,10 @@ def _matches(produced: str, consumed: str) -> bool:
     return produced == "*" or consumed == "*" or produced == consumed
 
 
-def trigger_graph(rules: Iterable[ECARule]) -> "nx.DiGraph":
+def trigger_graph(rules: Iterable[ECARule]) -> DiGraph:
     """Rule-level triggering graph: edge R -> S iff R can trigger S."""
     rules = list(rules)
-    graph = nx.DiGraph()
+    graph = DiGraph()
     interfaces = {}
     for rule in rules:
         graph.add_node(rule.name)
@@ -148,7 +147,7 @@ def find_trigger_cycles(rules: Iterable[ECARule]) -> list[list[str]]:
     at run time, which is exactly why the analysis flags it for review.
     """
     graph = trigger_graph(rules)
-    return [sorted(component) for component in nx.strongly_connected_components(graph)
+    return [sorted(component) for component in strongly_connected_components(graph)
             if len(component) > 1 or graph.has_edge(*(list(component) * 2)[:2])]
 
 

@@ -57,19 +57,12 @@ nodes), so neither pays the O(rules) full rebuild — that cost is reserved
 for :meth:`ReactiveEngine.refresh`, which still handles rule-set changes
 by rebuilding through the same insert machinery.
 
-Two config knobs select the pipeline depth, each the ablation switch of
-a benchmark experiment: ``indexed_dispatch=False`` broadcasts every event
-to every rule (E13); ``trie_depth=0`` stops at the root label (E15); the
-default runs the full trie (depth swept in E22).  All
-modes produce identical answers and firing counts, and — under queued
-delivery, the default — identical firing order; only the candidate count
-changes (``EngineStats.candidates_considered`` / ``index_probes`` /
-``matcher_calls`` expose it).  The one sequencing caveat:
-with ``sync_delivery=True``, broadcast hands *unrelated* events to an
-absence rule's evaluator, which can confirm a pending absence one
-callback earlier than the scheduled wake-up when such an event lands
-exactly on the deadline instant — same simulated time and answers,
-different intra-instant order.
+``EngineConfig(trie_depth=...)`` is the one depth knob: ``trie_depth=0``
+stops at the root label (E15); the default runs the full trie (depth
+swept in E22).  Every depth produces identical answers, firing counts and
+firing order; only the candidate count changes
+(``EngineStats.candidates_considered`` / ``index_probes`` /
+``matcher_calls`` expose it).
 
 Overlapping-rule combinators (:mod:`repro.core.rulesets`) compile into
 per-rule ``(group, kind, precedence)`` specs: at dispatch, answers of
@@ -142,12 +135,12 @@ class EngineStats:
 
     The dispatch-efficiency triple measures the discrimination trie:
     ``candidates_considered`` counts (rule, evaluator) pairs handed an
-    event (broadcast: rules × events; discriminating: close to the rules
-    that can actually match), ``index_probes`` counts dispatch-index
-    probes — one for the root-label lookup plus one per trie node visited,
-    so at most 1 + the trie depth per event — and ``matcher_calls`` counts
-    term-matcher invocations made by the evaluators the event reached —
-    the work the index failed to avoid.
+    event (close to the rules that can actually match; ``trie_depth=0``
+    hands over the event label's whole bucket), ``index_probes`` counts
+    dispatch-index probes — one for the root-label lookup plus one per trie
+    node visited, so at most 1 + the trie depth per event — and
+    ``matcher_calls`` counts term-matcher invocations made by the
+    evaluators the event reached — the work the index failed to avoid.
 
     ``firings_deduped`` counts answers produced by *replica* evaluators
     of rules hosted on several shards and therefore suppressed (the
@@ -236,13 +229,8 @@ class EngineConfig:
       deriving further event terms from each incoming event (Thesis 9);
       rules can subscribe to the derived labels.
 
-    **Dispatch pipeline** (all modes are observationally equivalent; only
-    the candidate counts in :class:`EngineStats` change)
+    **Dispatch**
 
-    - ``indexed_dispatch`` — route events to rules through the label index
-      (the default).  ``False`` restores the broadcast baseline where every
-      event visits every rule's evaluator; kept as an ablation switch for
-      the dispatch-scaling experiment (E13).
     - ``trie_depth`` — cap on how many axis levels the discrimination
       trie may split below each root label: within one label's bucket,
       rules are sub-indexed by their constant discriminators (attribute
@@ -251,27 +239,18 @@ class EngineConfig:
       until rules run out of discriminators; ``1`` reproduces the old
       two-level net (one shared axis per label bucket) — the E22
       ablation; ``0`` stops the net at the root label — the E15
-      ablation, i.e. pre-discrimination behaviour.  Only meaningful with
-      ``indexed_dispatch=True``.
+      ablation, i.e. pre-discrimination behaviour.  Every depth is
+      observationally equivalent; only the candidate counts in
+      :class:`EngineStats` change.
 
-    **Delivery and scheduling**
+    **Delivery**
 
-    - ``sync_delivery`` — ``True`` dispatches events inline on the
-      sender's stack instead of through the node's queued inbox (see the
-      delivery model in :mod:`repro.web.node`; the ablation switch for the
-      async inbox experiment E14), ``False`` forces queued delivery, and
-      ``None`` (default) leaves the node's setting alone (a fresh node
-      queues).
     - ``inbox_batch`` — cap on events one inbox drain processes before
       re-yielding to the scheduler (``None`` = leave the node's setting
       alone; a fresh node drains its whole backlog at once).  With
       ``shards > 1`` the same value caps how many events each *shard*
       consumes per router drain — the fairness knob that stops one
       backlogged shard from starving the others.
-    - ``coalesced_wakeups`` — at an absence-deadline wake-up, advance only
-      the evaluators that own a deadline at that instant (the default).
-      ``False`` restores the broadcast baseline where every active rule's
-      evaluator is advanced at every wake-up; the E14 ablation switch.
 
     **Scale-out**
 
@@ -283,12 +262,8 @@ class EngineConfig:
       discriminator-attribute axis), gives each shard its own FIFO inbox,
       and drains them from the scheduler in global arrival order —
       answers and firing order are identical to ``shards=1`` (the E16
-      experiment; property-tested).  Sharding requires queued delivery:
-      ``sync_delivery=True`` with ``shards > 1`` is rejected at
-      construction, because a nested inline hand-off cannot be
-      reproduced while replica copies of the in-flight event are still
-      queued on other shards.  Only the facade interprets this field: a
-      bare :class:`ReactiveEngine` rejects N > 1.
+      experiment; property-tested).  Only the facade interprets this
+      field: a bare :class:`ReactiveEngine` rejects N > 1.
 
     **Ingestion**
 
@@ -323,11 +298,8 @@ class EngineConfig:
 
     consumption: str = "unrestricted"
     event_views: "Program | None" = None
-    indexed_dispatch: bool = True
     trie_depth: "int | None" = None
-    sync_delivery: bool | None = None
     inbox_batch: int | None = None
-    coalesced_wakeups: bool = True
     shards: int = 1
     ingest: "object | None" = None  # IngestConfig; typed loosely to keep
     # the core layer free of an import from repro.ingest (which imports web)
@@ -350,14 +322,6 @@ class EngineConfig:
             raise RuleError(f"inbox_batch must be >= 1, got {self.inbox_batch}")
         if self.shards < 1:
             raise RuleError(f"shards must be >= 1, got {self.shards}")
-        if self.sync_delivery and self.shards > 1:
-            raise RuleError(
-                f"sync_delivery=True cannot be combined with shards="
-                f"{self.shards}: an event raised inline mid-action would "
-                "have to overtake replica copies of the in-flight event "
-                "still queued on other shards, so firing order could not "
-                "match shards=1 (use queued delivery, the default)"
-            )
         if self.ingest is not None:
             # Deferred import: repro.ingest sits above the web layer and
             # must stay un-imported by core unless the knob is used.
@@ -660,15 +624,11 @@ class ReactiveEngine:
         self._rate_halflife = config.rate_halflife
         self._label_stamps: dict[str, float] = {}
         self._event_views = config.event_views
-        self._indexed = config.indexed_dispatch
         # Depth cap handed to trie inserts (None = unbounded, 0 = never
         # split: the root-label-only ablation).
         self._split_depth = config.trie_depth
-        self._coalesced = config.coalesced_wakeups
         # Only settings the config actually specifies reach the node;
         # node-level delivery choices survive an engine with defaults.
-        if config.sync_delivery is not None:
-            node.configure_delivery(sync_delivery=config.sync_delivery)
         if config.inbox_batch is not None:
             node.configure_delivery(inbox_batch=config.inbox_batch)
         self._rulesets: list[RuleSet] = []
@@ -679,22 +639,15 @@ class ReactiveEngine:
         # _TrieNode over the (seq, rule, evaluator, discriminators) rows
         # whose queries can be affected by it.  Wildcard rules live in the
         # seq-sorted _wildcard_rows side list, merged in at dispatch (so a
-        # wildcard install is O(log n), not O(labels)); _wildcard is its
-        # (rule, evaluator) projection for label-less events.
+        # wildcard install is O(log n), not O(labels)).
         self._index: dict[str, _TrieNode] = {}
         self._wildcard_rows: list = []
-        self._wildcard: list[tuple[ECARule, object]] = []
         # Installation sequences are tuples — singles (0, i), rule-set
         # rules (1, set_index, member_index) — so incrementally installed
         # singles keep firing before all rule-set rules, exactly the order
         # a full refresh would assign.  _next_single continues the single
         # counter between refreshes.
         self._next_single = 0
-        # Seq-sorted [(rule, evaluator)] snapshot of the active table,
-        # rebuilt lazily (broadcast dispatch and non-coalesced wake-ups
-        # need it; _active's dict order lags behind seq order once
-        # installs go incremental).
-        self._entry_cache: "list[tuple[ECARule, object]] | None" = None
         # Combinator-group dispatch specs: qualified rule name ->
         # (group_path, kind, precedence), compiled from the installed rule
         # sets (see repro.core.rulesets.compile_group_specs); the shard
@@ -713,7 +666,7 @@ class ReactiveEngine:
         self._touched: set[object] = set()
         # deadline instant -> evaluators owning an absence window that may
         # expire then.  One scheduler callback per distinct instant; at the
-        # wake-up only the owners are advanced (coalesced mode), so idle
+        # wake-up only the owners are advanced, so idle
         # rules pay nothing for other rules' deadlines.
         self._deadline_owners: dict[float, set[object]] = {}
         # The reverse map — evaluator -> instants it owns — so uninstalling
@@ -887,11 +840,9 @@ class ReactiveEngine:
             interest = evaluator.interest()
         self._active[name] = (rule, evaluator)
         self._eval_entry[evaluator] = (seq, name, rule)
-        self._entry_cache = None
         if interest.by_label is None:
             bisect.insort(self._wildcard_rows,
                           (seq, rule, evaluator, frozenset()), key=_row_seq)
-            self._wildcard = [(r, e) for _s, r, e, _d in self._wildcard_rows]
             return
         for label, discriminators in interest.by_label:
             root = self._index.get(label)
@@ -907,15 +858,11 @@ class ReactiveEngine:
         """
         rule, evaluator = self._active.pop(name)
         seq = self._eval_entry.pop(evaluator)[0]
-        self._entry_cache = None
         if interest is None:
             interest = evaluator.interest()
         if interest.by_label is None:
             self._wildcard_rows = [
                 row for row in self._wildcard_rows if row[0] != seq
-            ]
-            self._wildcard = [
-                (r, e) for _s, r, e, _d in self._wildcard_rows
             ]
         else:
             for label, discriminators in interest.by_label:
@@ -996,20 +943,10 @@ class ReactiveEngine:
         self._active = {}
         self._index = {}
         self._wildcard_rows = []
-        self._wildcard = []
         self._eval_entry = {}
         for name, (rule, evaluator) in active.items():
             self.add_rule(order[name], name, rule, evaluator)
         self._groups = compile_group_specs(self._rulesets)
-
-    def _ordered_entries(self) -> list[tuple[ECARule, object]]:
-        """The active (rule, evaluator) pairs in installation-seq order."""
-        if self._entry_cache is None:
-            ordered = sorted(self._eval_entry.items(),
-                             key=lambda kv: kv[1][0])
-            self._entry_cache = [(entry[2], evaluator)
-                                 for evaluator, entry in ordered]
-        return self._entry_cache
 
     def rules(self) -> list[str]:
         """Names of the currently active rules, in installation order."""
@@ -1162,13 +1099,20 @@ class ReactiveEngine:
         label = event.term.label
         self._observe_label(label, event.time)
         entries = self._interested(event)
+        eval_entry = self._eval_entry
         if exclude:
             entries = [(rule, evaluator) for rule, evaluator in entries
-                       if self._eval_entry[evaluator][1] not in exclude]
+                       if eval_entry[evaluator][1] not in exclude]
         stats.candidates_considered += len(entries)
         groups = self._groups
         deferred: "list | None" = None
         for rule, evaluator in entries:
+            entry = eval_entry.get(evaluator)
+            if entry is None:
+                # Uninstalled by an earlier rule's action mid-dispatch: it
+                # no longer sees the in-flight event, just as a rule
+                # installed mid-dispatch is absent from the snapshot.
+                continue
             self._touched.add(evaluator)
             before = matcher_call_count()
             answers = evaluator.on_event(event)
@@ -1177,7 +1121,7 @@ class ReactiveEngine:
                 answers = answers[:1]
             if not answers:
                 continue
-            name = self._eval_entry[evaluator][1]
+            name = entry[1]
             if not (fire if fire_for is None else name in fire_for):
                 # Replica mode dedups *before* group resolution: the
                 # rule's designated shard is the one that arbitrates.
@@ -1206,67 +1150,49 @@ class ReactiveEngine:
         Probes the event label's trie root, descends by the constants the
         event exhibits on each visited axis, and merges the reached leaf
         lists with the wildcard rules by installation sequence.
-        Root-label-only mode (``trie_depth=0``) never split
-        the trie, so the root is one flat leaf; the broadcast ablation
-        returns every active rule.  Always a *fresh* list: firing a rule
+        Root-label-only mode (``trie_depth=0``) never splits the trie, so
+        the root is one flat leaf.  Always a *fresh* list: firing a rule
         may install/uninstall rules, which edits the trie in place
         mid-dispatch — the snapshot the loop iterates must not alias live
         node state.
         """
-        if not self._indexed:
-            return list(self._ordered_entries())
         self.stats.index_probes += 1
         root = self._index.get(event.term.label)
-        if root is None:
-            return list(self._wildcard)
         lists: list = []
-        root.collect(event.term, self.stats, lists)
+        if root is not None:
+            root.collect(event.term, self.stats, lists)
         if self._wildcard_rows:
             lists.append(self._wildcard_rows)
-        if not lists:
-            return []
-        if len(lists) == 1:
-            return [(rule, evaluator) for _s, rule, evaluator, _d in lists[0]]
-        merged = heapq.merge(*lists, key=_row_seq)
-        return [(rule, evaluator) for _s, rule, evaluator, _d in merged]
+        rows = lists[0] if len(lists) == 1 else heapq.merge(*lists,
+                                                            key=_row_seq)
+        return [(rule, evaluator) for _s, rule, evaluator, _d in rows]
 
     def _on_time(self, when: float) -> None:
         owners = self.take_due(when)
-        if self._coalesced and not owners:
+        if not owners:
             # Every owner was eagerly pruned (uninstalled) after this
             # wake-up was scheduled: nothing can expire, so the instant is
             # not a wake-up at all — don't count or advance anything.
             return
         self.stats.wakeups += 1
-        # Installation order, not owner-set order: firing order at a shared
-        # deadline stays deterministic and identical between coalesced and
-        # broadcast wake-ups.  Coalesced wake-ups sort just the owners by
-        # their installation sequence (stale owners drop out of
-        # _eval_entry), so per-wakeup work scales with the expiring rules,
-        # never the whole rule base.
-        if self._coalesced:
-            batch = sorted(
-                (self._eval_entry[ev] + (ev,) for ev in owners
-                 if ev in self._eval_entry),
-                key=lambda entry: entry[0],
-            )
-            items = [(rule, ev) for _seq, _name, rule, ev in batch]
-        else:
-            items = list(self._ordered_entries())
+        # Owners advance in installation order, so firing order at a shared
+        # deadline is deterministic; per-wakeup work scales with the
+        # expiring rules, never the whole rule base.
+        batch = sorted(owners, key=lambda ev: self._eval_entry[ev][0])
         # Same deferral as _dispatch, across the whole instant: grouped
         # answers compete per instant, not per evaluator.
         buffer: "list | None" = [] if self._groups else None
         self._group_buffer = buffer
         try:
-            for rule, evaluator in items:
-                self.advance_evaluator(when, rule, evaluator)
+            for evaluator in batch:
+                self.advance_evaluator(when, evaluator)
         finally:
             self._group_buffer = None
         if buffer:
             resolve_group_answers(buffer)
         self._schedule_wakeups()
 
-    def advance_evaluator(self, when: float, rule: ECARule, evaluator,
+    def advance_evaluator(self, when: float, evaluator,
                           fire: bool = True) -> None:
         """Advance one evaluator to *when*, firing (or deduping) answers.
 
@@ -1277,8 +1203,13 @@ class ReactiveEngine:
         is responsible for the follow-up :meth:`_schedule_wakeups` — and,
         when combinator groups are active, for planting ``_group_buffer``
         around the instant and resolving it after (grouped answers with no
-        buffer planted fire immediately, ungrouped semantics).
+        buffer planted fire immediately, ungrouped semantics).  An evaluator
+        uninstalled earlier in the same wake-up is skipped, as in dispatch.
         """
+        entry = self._eval_entry.get(evaluator)
+        if entry is None:
+            return
+        _seq, name, rule = entry
         self._touched.add(evaluator)
         self.stats.evaluator_advances += 1
         before = matcher_call_count()
@@ -1291,7 +1222,6 @@ class ReactiveEngine:
             return
         if not answers:
             return
-        name = self._eval_entry[evaluator][1]
         if self._group_buffer is not None:
             spec = self._groups.get(name) if self._groups else None
             if spec is not None:

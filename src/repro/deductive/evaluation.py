@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import networkx as nx
-
 from repro.deductive.base import TermBase
+from repro.deductive.graph import descendants
 from repro.deductive.rules import DeductiveRule, Filter, Match, Negation, Program, _root_label
 from repro.errors import DeductiveError
 from repro.terms.ast import Bindings, Data, Query
@@ -125,7 +124,7 @@ class BackwardEvaluator:
             return frozenset(head_labels)
         if label not in graph:
             return frozenset({label} & head_labels)
-        reachable = {label} | nx.descendants(graph, label)
+        reachable = {label} | descendants(graph, label)
         return frozenset(reachable & head_labels)
 
     def _materialise(self, labels: frozenset[str]) -> TermBase:

@@ -8,7 +8,8 @@ term and each goal either
 - requires the *absence* of any match (:class:`Negation`, negation as
   failure; stratification is enforced).
 
-Programs are analysed with a label-level dependency graph (networkx):
+Programs are analysed with a label-level dependency graph
+(:mod:`repro.deductive.graph`):
 recursion is detected (and can be *rejected* — the paper's Thesis 9 requires
 this for event-level views), negation must not occur in a cycle, and rule
 safety (head variables bound by positive goals) is checked at construction.
@@ -19,8 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import networkx as nx
-
+from repro.deductive.graph import (
+    DiGraph,
+    is_directed_acyclic_graph,
+    strongly_connected_components,
+)
 from repro.errors import DeductiveError, RecursionRejected
 from repro.terms.ast import (
     Compare,
@@ -143,34 +147,33 @@ class Program:
             )
         self._check_stratification()
 
-    def _dependency_graph(self) -> "nx.DiGraph":
-        graph = nx.DiGraph()
-        head_labels = {rule.head_label for rule in self.rules}
+    def _dependency_graph(self) -> DiGraph:
+        """Head label -> each derived label its body consults; the edge
+        payload says whether any such goal is negated."""
+        graph = DiGraph()
+        head_labels = dict.fromkeys(rule.head_label for rule in self.rules)
         for rule in self.rules:
             graph.add_node(rule.head_label)
+            edges = graph.succ[rule.head_label]
             for label, negated in rule.body_labels():
                 # '*' goals may consult any derived label.
-                targets = head_labels if label == "*" else ({label} & head_labels)
+                targets = head_labels if label == "*" else (
+                    {label} & head_labels.keys())
                 for target in targets:
-                    if graph.has_edge(rule.head_label, target):
-                        negated = negated or graph.edges[rule.head_label, target]["negated"]
-                    graph.add_edge(rule.head_label, target, negated=negated)
+                    graph.add_edge(rule.head_label, target,
+                                   edges.get(target, False) or negated)
         return graph
 
     def is_recursive(self) -> bool:
         """True if some derived label (transitively) depends on itself."""
-        return not nx.is_directed_acyclic_graph(self._graph)
+        return not is_directed_acyclic_graph(self._graph)
 
     def _check_stratification(self) -> None:
         """Negation through a cycle is not stratifiable; reject it."""
-        for component in nx.strongly_connected_components(self._graph):
-            if len(component) == 1:
-                node = next(iter(component))
-                if not self._graph.has_edge(node, node):
-                    continue
+        for component in strongly_connected_components(self._graph):
             for source in component:
-                for target in self._graph.successors(source):
-                    if target in component and self._graph.edges[source, target]["negated"]:
+                for target, negated in self._graph.succ[source].items():
+                    if negated and target in component:
                         raise DeductiveError(
                             f"negation in recursive cycle through {source!r} "
                             "is not stratifiable"
@@ -179,21 +182,23 @@ class Program:
     def strata(self) -> list[list[DeductiveRule]]:
         """Rules grouped into evaluation strata (dependencies first).
 
-        Memoised: programs are immutable and event-level views evaluate
-        per event, so the condensation must not be recomputed each time.
+        A stratum is one strongly connected component of the dependency
+        graph, ranked by Tarjan's emission order, which already puts every
+        component after the ones it depends on.  Memoised: programs are
+        immutable and event-level views evaluate per event.
         """
         cached = getattr(self, "_strata_cache", None)
         if cached is not None:
             return cached
-        condensed = nx.condensation(self._graph)
-        order = list(nx.topological_sort(condensed))
-        component_rank = {}
-        for rank, node in enumerate(reversed(order)):
-            for label in condensed.nodes[node]["members"]:
-                component_rank[label] = rank
+        component_rank = {
+            label: rank
+            for rank, component in enumerate(
+                strongly_connected_components(self._graph))
+            for label in component
+        }
         buckets: dict[int, list[DeductiveRule]] = {}
         for rule in self.rules:
-            buckets.setdefault(component_rank.get(rule.head_label, 0), []).append(rule)
+            buckets.setdefault(component_rank[rule.head_label], []).append(rule)
         result = [buckets[rank] for rank in sorted(buckets)]
         self._strata_cache = result
         return result

@@ -549,8 +549,8 @@ class IngestGateway:
         pending.state = _DELIVERED
         event = self.node.stamp_event(pending.term, source=pending.sender,
                                       sent_at=pending.sent_at)
-        # Register before deliver: under sync_delivery the handlers (and
-        # the latency hook) run inside the deliver call itself.
+        # Register before deliver, so the latency hook always finds the
+        # entry when the inbox drain fires the event.
         self._inflight[event.id] = pending.admitted_at
         self.stats.delivered += 1
         self.node.deliver(event)

@@ -106,12 +106,6 @@ the whole fleet shares the one durable store, commits are serialised by
 the store's own lock, and a reopened sharded node recovers exactly like
 a single-engine one.
 
-The equivalence needs queued delivery (the default):
-``EngineConfig(sync_delivery=True, shards>1)`` is rejected at
-construction, since an event raised inline mid-action would have to
-overtake replica copies of the in-flight event still queued on other
-shards.
-
 Execution layer
 ---------------
 
@@ -329,7 +323,7 @@ class ShardRouter:
         # event's label may live on a different shard), and shards=1 so
         # each engine is a plain single shard.
         shard_config = replace(config, shards=1, event_views=None,
-                               sync_delivery=None, inbox_batch=None)
+                               inbox_batch=None)
         self.engines = tuple(
             ReactiveEngine(node, config=shard_config, attach=False)
             for _ in range(self.n_shards)
@@ -337,12 +331,9 @@ class ShardRouter:
         for engine in self.engines:
             engine.wakeup_via = self._request_wakeup
             engine.installer = self
-        if config.sync_delivery is not None:
-            node.configure_delivery(sync_delivery=config.sync_delivery)
         if config.inbox_batch is not None:
             node.configure_delivery(inbox_batch=config.inbox_batch)
         self._event_views = config.event_views
-        self._coalesced = config.coalesced_wakeups
         self._inbox_batch = config.inbox_batch
         self.derived_events = 0
         self.inbox_drains = 0
@@ -884,7 +875,8 @@ class ShardRouter:
         an engine failure the already-collected prefix still fires before
         the error propagates: a single engine fires each evaluator's
         answers as its dispatch loop reaches it, so answers produced
-        before the raise have fired.
+        before the raise have fired.  Like that loop, a rule an earlier
+        firing uninstalled is skipped when its turn comes.
         """
         rows: list = []
         placed = self._plan.rules
@@ -905,11 +897,20 @@ class ShardRouter:
                         for k, (name, rule, bindings) in enumerate(collected):
                             rows.append((name in group_specs,
                                          placed[name].seq, k,
-                                         si, rule, bindings))
+                                         si, name, rule, bindings))
             finally:
-                rows.sort(key=lambda row: row[:3])
-                for _g, _o, _k, si, rule, bindings in rows:
-                    self.engines[si]._fire(rule, bindings)
+                rows.sort(key=lambda row: row[1:3])
+                winners = []
+                for grouped, _o, _k, si, name, rule, bindings in rows:
+                    engine = self.engines[si]
+                    if engine._active.get(name, (None,))[0] is not rule:
+                        continue
+                    if grouped:
+                        winners.append((engine, rule, bindings))
+                    else:
+                        engine._fire(rule, bindings)
+                for engine, rule, bindings in winners:
+                    engine._fire(rule, bindings)
         finally:
             self._dispatch_depth -= 1
             for si in involved:
@@ -933,8 +934,7 @@ class ShardRouter:
         installation sequence (replicas of one rule sort adjacently, by
         shard), so absence answers at a shared deadline fire exactly as a
         single engine would; only each rule's first host fires, the other
-        replicas dedup.  ``coalesced_wakeups=False`` advances every
-        active evaluator on every shard instead — the E14 ablation.
+        replicas dedup.
 
         Combinator members may answer at a shared deadline on different
         engines, so every engine buffers its grouped answers into one
@@ -945,15 +945,11 @@ class ShardRouter:
         """
         self._pending_wakeups.discard(when)
         placed = self._plan.rules
-        merged = []  # (seq, shard, rule, evaluator, engine, fires here?)
+        merged = []  # (seq, shard, evaluator, engine, fires here?)
         for si, engine in enumerate(self.engines):
-            owners = engine.take_due(when)
-            if not self._coalesced:
-                owners = [evaluator
-                          for _rule, evaluator in engine._active.values()]
-            for evaluator in owners:
-                seq, name, rule = engine._eval_entry[evaluator]
-                merged.append((seq, si, rule, evaluator, engine,
+            for evaluator in engine.take_due(when):
+                seq, name, _rule = engine._eval_entry[evaluator]
+                merged.append((seq, si, evaluator, engine,
                                si == placed[name].hosts[0]))
         merged.sort(key=lambda row: row[:2])
         advanced: dict = {}
@@ -962,8 +958,8 @@ class ShardRouter:
             engine._group_buffer = buffer
         self._dispatch_depth += 1  # installs from absence firings are in flight
         try:
-            for _seq, _si, rule, evaluator, engine, fire in merged:
-                engine.advance_evaluator(when, rule, evaluator, fire=fire)
+            for _seq, _si, evaluator, engine, fire in merged:
+                engine.advance_evaluator(when, evaluator, fire=fire)
                 advanced[engine] = None
             if buffer:
                 resolve_group_answers(buffer)

@@ -143,7 +143,7 @@ class Network:
     def inbox_backlog(self) -> int:
         """Events queued across all registered nodes' inboxes but not yet
         dispatched — the network-wide backpressure signal (0 when every
-        drain has caught up, always 0 under sync delivery)."""
+        drain has caught up)."""
         return sum(node.inbox_depth for node in self._nodes.values())
 
     # -- delivery ---------------------------------------------------------------

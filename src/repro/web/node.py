@@ -17,7 +17,8 @@ node via :meth:`WebNode.on_event`; this module has no dependency on it.
 Delivery model
 --------------
 
-Events are delivered through a per-node FIFO inbox, *not* on the sender's
+Delivery is queued, FIFO and breadth-first, and there is no other mode.
+Events are delivered through a per-node FIFO inbox, never on the sender's
 stack.  :meth:`WebNode.receive` and :meth:`WebNode.raise_local` stamp the
 event at the arrival instant, append it to the inbox, and schedule a
 single *drain* callback at the current simulated instant; the drain pops
@@ -28,8 +29,8 @@ Consequences:
   network) mid-``raise``: the sender's action completes, and the
   receiver's handlers run when the scheduler reaches the drain;
 - same-instant events on one node are processed strictly in arrival
-  order, and simulated timestamps are identical to inline dispatch (the
-  drain runs at the enqueue instant), so runs remain deterministic;
+  order, and simulated timestamps are the arrival instants (the drain
+  runs at the enqueue instant), so runs remain deterministic;
 - events raised from inside a handler are processed *after* the current
   event's handlers finish (breadth-first), not recursively inside them;
 - work outside the scheduler (installing rules, reading stats) observes
@@ -38,9 +39,7 @@ Consequences:
 ``inbox_batch`` bounds how many events one drain processes (the remainder
 is re-scheduled at the same instant — fairness between same-instant
 callbacks, never a delay), and ``inbox_depth`` / ``inbox_peak`` expose
-queue depth for backpressure accounting.  ``sync_delivery=True`` restores
-the old inline dispatch; the engine keeps it available as the
-:class:`~repro.core.engine.EngineConfig` ablation for experiment E14.
+queue depth for backpressure accounting.
 
 On a *sharded* node (``EngineConfig(shards=N)``) this inbox is the first
 of two queue layers: the node's registered handler is a
@@ -48,9 +47,7 @@ of two queue layers: the node's registered handler is a
 to per-shard FIFO inboxes and merge-drains those in global arrival order.
 The node-level contract above is unchanged — arrival stamping, FIFO
 order, and backpressure accounting happen here; the router only adds the
-partitioning.  (Sharding requires this queued model:
-``EngineConfig(sync_delivery=True, shards>1)`` is rejected at
-construction.)
+partitioning.
 """
 
 from __future__ import annotations
@@ -68,15 +65,11 @@ from repro.web.resources import ResourceStore
 from repro.web.scheduler import Scheduler
 from repro.web.soap import Envelope
 
-_UNSET = object()  # configure_delivery: "parameter omitted" (None is a value)
-
 
 class WebNode:
     """One Web site in the simulation."""
 
-    def __init__(self, uri: str, network: Network, *,
-                 sync_delivery: bool = False,
-                 inbox_batch: int | None = None) -> None:
+    def __init__(self, uri: str, network: Network) -> None:
         self.uri = authority(uri)
         self.network = network
         self.resources = ResourceStore()
@@ -88,8 +81,7 @@ class WebNode:
         self._drain_scheduled = False
         self.inbox_peak = 0
         self.inbox_drains = 0
-        self.configure_delivery(sync_delivery=sync_delivery,
-                                inbox_batch=inbox_batch)
+        self.inbox_batch: int | None = None
         network.register(self)
 
     @property
@@ -113,21 +105,12 @@ class WebNode:
 
     # -- messaging ----------------------------------------------------------------
 
-    def configure_delivery(self, *, sync_delivery: bool | None = None,
-                           inbox_batch: "int | None | object" = _UNSET) -> None:
-        """Tune event delivery: inline dispatch and/or per-drain batch size.
-
-        Omitted parameters are left unchanged.  ``sync_delivery=True``
-        dispatches events on the sender's stack (the pre-inbox behaviour,
-        kept as an ablation); ``inbox_batch`` caps how many queued events
-        one drain processes before yielding back to the scheduler
-        (``None`` = drain the whole backlog)."""
-        if sync_delivery is not None:
-            self.sync_delivery = sync_delivery
-        if inbox_batch is not _UNSET:
-            if inbox_batch is not None and inbox_batch < 1:
-                raise WebError(f"inbox_batch must be >= 1, got {inbox_batch}")
-            self.inbox_batch = inbox_batch
+    def configure_delivery(self, *, inbox_batch: int | None) -> None:
+        """Cap how many queued events one drain processes before yielding
+        back to the scheduler (``None`` = drain the whole backlog)."""
+        if inbox_batch is not None and inbox_batch < 1:
+            raise WebError(f"inbox_batch must be >= 1, got {inbox_batch}")
+        self.inbox_batch = inbox_batch
 
     @property
     def inbox_depth(self) -> int:
@@ -167,7 +150,13 @@ class WebNode:
 
     def deliver(self, event: Event) -> None:
         """Enqueue an already-stamped event (second half of the seam)."""
-        self._deliver(event)
+        self.events_received += 1
+        self._inbox.append(event)
+        if len(self._inbox) > self.inbox_peak:
+            self.inbox_peak = len(self._inbox)
+        if not self._drain_scheduled:
+            self._drain_scheduled = True
+            self.clock.soon(self._drain)
 
     def raise_event(self, to: str, term: Data) -> None:
         """Push an event message to another node (or to this node itself)."""
@@ -181,22 +170,7 @@ class WebNode:
 
         Used for events that originate at this node (resource changes,
         internal service-request events for accounting)."""
-        self._deliver(make_event(term, self.now, source=self.uri))
-
-    def _deliver(self, event: Event) -> None:
-        self.events_received += 1
-        # Inline dispatch never jumps a backlog: if queued events are still
-        # waiting (delivery was switched to sync mid-run), this event lines
-        # up behind them so arrival order survives the mode switch.
-        if self.sync_delivery and not self._inbox:
-            self._handle(event)
-            return
-        self._inbox.append(event)
-        if len(self._inbox) > self.inbox_peak:
-            self.inbox_peak = len(self._inbox)
-        if not self._drain_scheduled:
-            self._drain_scheduled = True
-            self.clock.soon(self._drain)
+        self.deliver(make_event(term, self.now, source=self.uri))
 
     def _drain(self) -> None:
         # Clear the flag first: handlers may enqueue further events, which
@@ -207,17 +181,15 @@ class WebNode:
         try:
             while budget > 0 and self._inbox:
                 budget -= 1
-                self._handle(self._inbox.popleft())
+                event = self._inbox.popleft()
+                for handler in list(self._event_handlers):
+                    handler(event)
         finally:
             # Re-schedule on the batch limit AND on a handler exception:
             # a failing rule must not strand the rest of the backlog.
             if self._inbox and not self._drain_scheduled:
                 self._drain_scheduled = True
                 self.clock.soon(self._drain)
-
-    def _handle(self, event: Event) -> None:
-        for handler in list(self._event_handlers):
-            handler(event)
 
     # -- resource access ---------------------------------------------------------
 

@@ -77,9 +77,9 @@ class TestReactiveNodeFacade:
 
     def test_config_reaches_the_engine(self):
         sim, node = reactive_node(config=EngineConfig(
-            consumption="chronicle", indexed_dispatch=False))
+            consumption="chronicle", trie_depth=0))
         assert node.engine.consumption == "chronicle"
-        assert node.engine.config.indexed_dispatch is False
+        assert node.engine.config.trie_depth == 0
 
     def test_config_conflicts_with_legacy_kwargs(self):
         from repro.core import ReactiveEngine

@@ -1,6 +1,7 @@
 """Discriminating event dispatch: interest computation and engine routing."""
 
 import pytest
+from _broadcast import use_broadcast
 
 from repro.core import EngineConfig, ReactiveEngine, eca
 from repro.core.actions import PyAction
@@ -114,8 +115,10 @@ class TestDiscriminators:
 
 
 class TestDiscriminatingRouting:
-    def _engine_with_symbol_rules(self, **config_kwargs):
+    def _engine_with_symbol_rules(self, reference=False, **config_kwargs):
         sim, node, engine = one_node(config=EngineConfig(**config_kwargs))
+        if reference:
+            use_broadcast(engine)
         seen = []
         for sym in ("ACME", "IBM"):
             engine.install(eca(
@@ -206,7 +209,7 @@ class TestDiscriminatingRouting:
 
         discriminating = run()
         root_only = run(trie_depth=0)
-        broadcast = run(indexed_dispatch=False)
+        broadcast = run(reference=True)
         assert discriminating == root_only == broadcast
 
 
@@ -223,7 +226,8 @@ class TestIndexedRouting:
         assert engine._active["rb"][1]._last_time == float("-inf")
 
     def test_broadcast_ablation_feeds_everyone(self):
-        sim, node, engine = one_node(config=EngineConfig(indexed_dispatch=False))
+        sim, node, engine = one_node()
+        use_broadcast(engine)
         engine.install(eca("ra", EAtom(q("a")), PyAction(lambda n, b: None)))
         engine.install(eca("rb", EAtom(q("b")), PyAction(lambda n, b: None)))
         node.raise_local(parse_data("a{}"))
@@ -269,8 +273,9 @@ class TestIndexedRouting:
 
     def test_indexed_and_broadcast_agree_on_firings(self):
         def run(indexed: bool) -> tuple[int, list[str]]:
-            sim, node, engine = one_node(
-                config=EngineConfig(indexed_dispatch=indexed))
+            sim, node, engine = one_node()
+            if not indexed:
+                use_broadcast(engine)
             fired = []
             engine.install(eca("pair", EWithin(
                 EAnd(EAtom(q("a", q("x", Var("X")))), EAtom(q("b", q("x", Var("X"))))), 10.0),

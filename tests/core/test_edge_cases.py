@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import (
     CompareCond,
+    EngineConfig,
     PyAction,
     QueryCond,
     Raise,
@@ -98,6 +99,44 @@ class TestEngineLifecycle:
             runner.run()
         assert len(hits_default) == 2    # both a's pair
         assert len(hits_chronicle) == 1  # b consumed by the first pairing
+
+
+class TestMidDispatchUninstall:
+    """A rule uninstalled by an earlier rule's action while the same event
+    (or the same wake-up) is still being dispatched no longer sees it —
+    the mirror of the dispatch snapshot hiding the event from rules
+    installed mid-dispatch."""
+
+    VICTIM = 'RULE b ON {on} DO PUT "http://n.example/b" fired{{}}'
+
+    def _run(self, shards, killer, victim_on, events):
+        sim = Simulation(latency=0.0)
+        node = sim.reactive_node("http://n.example",
+                                 config=EngineConfig(shards=shards))
+        node.install(killer)
+        node.install(self.VICTIM.format(on=victim_on))
+        for text in events:
+            node.raise_local(text)
+        sim.run()
+        assert "http://n.example/b" not in node.store  # b never fired
+        return node.rules(), node.stats.rule_firings
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_uninstalled_later_rule_skips_in_flight_event(self, shards):
+        run = self._run(shards, "RULE a ON ping{{ }} DO UNINSTALL b",
+                        "ping{{ }}", ["ping{ }"])
+        assert run == (["a"], 1)
+        assert run == self._run(1, "RULE a ON ping{{ }} DO UNINSTALL b",
+                                "ping{{ }}", ["ping{ }"])
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_uninstalled_later_owner_skips_shared_wakeup(self, shards):
+        absent = "WITHIN 1.0 (go{{ }} THEN NOT stop{{ }})"
+        run = self._run(shards, f"RULE a ON {absent} DO UNINSTALL b",
+                        absent, ["go{ }"])
+        assert run == (["a"], 1)
+        assert run == self._run(1, f"RULE a ON {absent} DO UNINSTALL b",
+                                absent, ["go{ }"])
 
 
 class TestConditionEdges:

@@ -26,14 +26,6 @@ class TestConfigSurface:
         with pytest.raises(RuleError, match="shards"):
             EngineConfig(shards=0)
 
-    def test_sync_delivery_with_shards_is_rejected(self):
-        with pytest.raises(RuleError, match="sync_delivery=True cannot be "
-                                            "combined with shards=2"):
-            EngineConfig(sync_delivery=True, shards=2)
-        # Each half alone stays legal, as does forcing queued delivery.
-        EngineConfig(sync_delivery=True)
-        EngineConfig(sync_delivery=False, shards=2)
-
     def test_bare_engine_rejects_sharded_config(self):
         sim = Simulation(latency=0.0)
         with pytest.raises(RuleError, match="facade"):
@@ -162,6 +154,32 @@ class TestAmbiguousRouting:
 
         assert run(4) == run(1)
         assert run(1)[0] == [1, 3, 5, 7, 2, 6]
+
+    def test_rule_uninstalled_mid_ambiguous_event_is_skipped(self):
+        """Collected answers fire like a single engine's dispatch loop: a
+        rule an earlier firing uninstalled never sees the event."""
+        def run(shards):
+            sim = Simulation(latency=0.0)
+            node = sim.reactive_node(
+                "http://s.example", config=EngineConfig(shards=shards))
+            fired = []
+
+            def kill(n, b):
+                fired.append(0)
+                node.uninstall("r5")
+
+            node.install(*(
+                eca(f"r{i}",
+                    EAtom(q("order", q("venue", f"V{i % 4}"), q("x", Var("X")))),
+                    PyAction(kill) if i == 0 else recorder(fired, i))
+                for i in range(8)
+            ))
+            node.raise_local(d("order", d("venue", "V0"), d("venue", "V1"),
+                               d("x", 9)))
+            sim.run()
+            return fired, node.stats.rule_firings
+
+        assert run(4) == run(1) == ([0, 1, 4], 3)
 
 
 class TestExactlyOnceFiring:

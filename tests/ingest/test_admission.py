@@ -397,17 +397,6 @@ class TestFacadeIntegration:
                     "events_raised", "condition_evaluations"):
             assert gated.stats[key] == hand.stats[key], key
 
-    def test_sync_delivery_records_latency_inline(self):
-        from repro import EngineConfig
-
-        sim, node = self.reactive(EngineConfig(
-            sync_delivery=True, ingest=IngestConfig(drain_interval=0.0)))
-        node.loopback(codec="object").send(parse_data("order{ seq[1] }"))
-        sim.run()
-        assert node.stats.rule_firings == 1
-        assert node.stats.ingest.fired == 1
-        assert node.stats.ingest.latency.max == 0.0  # same-instant pump
-
     def test_sharded_node_with_gateway(self):
         from repro import EngineConfig
 

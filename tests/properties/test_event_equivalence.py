@@ -7,6 +7,7 @@ hypothesis generates random event queries and random event streams
 exactly the same answer sets at every step.
 """
 
+from _broadcast import use_broadcast
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import EngineConfig, PyAction, ReactiveEngine, eca
@@ -132,7 +133,7 @@ def test_no_duplicate_emissions(query, stream):
         seen.add(answer)
 
 
-def _run_engine(query, stream, **config_kwargs):
+def _run_engine(query, stream, reference=False, **config_kwargs):
     """Drive a whole node+engine over *stream*; the firing sequence.
 
     Events are scheduled on the simulation clock (same instants allowed),
@@ -143,6 +144,8 @@ def _run_engine(query, stream, **config_kwargs):
     sim = Simulation(latency=0.0)
     node = sim.node("http://p.example")
     engine = ReactiveEngine(node, config=EngineConfig(**config_kwargs))
+    if reference:
+        use_broadcast(engine)
     fired = []
     engine.install(eca(
         "r", query, PyAction(lambda n, b: fired.append(b), "record")
@@ -153,17 +156,6 @@ def _run_engine(query, stream, **config_kwargs):
         sim.scheduler.at(clock, lambda t=d(label, value): node.raise_local(t))
     sim.run()
     return fired, engine.stats.rule_firings
-
-
-@given(event_queries(), streams())
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_queued_delivery_equals_sync(query, stream):
-    """The async inbox must not change what fires, how often, or in what
-    order — only *when* control reaches the handlers."""
-    queued, queued_firings = _run_engine(query, stream, sync_delivery=False)
-    inline, inline_firings = _run_engine(query, stream, sync_delivery=True)
-    assert queued_firings == inline_firings
-    assert queued == inline
 
 
 @given(event_queries(), streams(), st.sampled_from([1, 2, 3]))
@@ -180,10 +172,8 @@ def test_inbox_batching_preserves_firings(query, stream, batch):
 def test_coalesced_wakeups_equal_broadcast(query, stream):
     """Advancing only deadline owners at a wake-up must produce exactly the
     broadcast (advance-everything) firing sequence."""
-    coalesced, coalesced_firings = _run_engine(query, stream,
-                                               coalesced_wakeups=True)
-    broadcast, broadcast_firings = _run_engine(query, stream,
-                                               coalesced_wakeups=False)
+    coalesced, coalesced_firings = _run_engine(query, stream)
+    broadcast, broadcast_firings = _run_engine(query, stream, reference=True)
     assert coalesced_firings == broadcast_firings
     assert coalesced == broadcast
 
@@ -234,11 +224,14 @@ def _disc_event_term(label, symbol, payload):
     return d(label, *children)
 
 
-def _run_fleet(specs, stream, include_wildcard, **config_kwargs):
+def _run_fleet(specs, stream, include_wildcard, reference=False,
+               **config_kwargs):
     """Drive several rules (shared labels, mixed discriminators) at once."""
     sim = Simulation(latency=0.0)
     node = sim.node("http://p.example")
     engine = ReactiveEngine(node, config=EngineConfig(**config_kwargs))
+    if reference:
+        use_broadcast(engine)
     fired = []
     for index, (label, symbol) in enumerate(specs):
         name, query = _fleet_rule(index, label, symbol)
@@ -268,7 +261,7 @@ def test_dispatch_modes_agree_on_answers_and_order(specs, stream, wildcard):
     the candidate count, never change what fires."""
     disc = _run_fleet(specs, stream, wildcard)
     root = _run_fleet(specs, stream, wildcard, trie_depth=0)
-    bcast = _run_fleet(specs, stream, wildcard, indexed_dispatch=False)
+    bcast = _run_fleet(specs, stream, wildcard, reference=True)
     assert disc[:2] == root[:2] == bcast[:2]
     assert disc[2] <= root[2] <= bcast[2]  # candidates only ever shrink
 

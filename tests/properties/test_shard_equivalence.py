@@ -9,6 +9,7 @@ bindings, same order — through the full production path: node inbox,
 router, per-shard inboxes, discrimination net, absence wake-ups.
 """
 
+from _broadcast import use_broadcast
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import EngineConfig, Simulation
@@ -100,10 +101,12 @@ def _event_term(label, symbol, payload):
     return Data(label, (d("sym", symbol),) + children, False, (("sym", symbol),))
 
 
-def _run_fleet(specs, stream, **config_kwargs):
+def _run_fleet(specs, stream, reference=False, **config_kwargs):
     sim = Simulation(latency=0.0)
     node = sim.reactive_node("http://p.example",
                              config=EngineConfig(**config_kwargs))
+    if reference:
+        use_broadcast(node)
     fired = []
     node.install(*(
         _build_rule(index, spec, fired) for index, spec in enumerate(specs)
@@ -142,9 +145,9 @@ def test_shard_fairness_batching_preserves_order(specs, stream, batch):
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_sharded_broadcast_wakeups_equal_coalesced(specs, stream):
-    """The E14 wake-up ablation must hold on a sharded node too."""
+    """Owner-only wake-ups match the broadcast reference on a sharded node."""
     coalesced, _ = _run_fleet(specs, stream, shards=3)
-    broadcast, _ = _run_fleet(specs, stream, shards=3, coalesced_wakeups=False)
+    broadcast, _ = _run_fleet(specs, stream, shards=3, reference=True)
     assert broadcast == coalesced
 
 

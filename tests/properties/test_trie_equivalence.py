@@ -6,11 +6,12 @@ wildcards and absence rules, and event streams that exhibit those axes
 unambiguously, partially, or ambiguously (several same-label children).
 The multi-level discrimination trie (default), the two-level net
 (``trie_depth=1``), the root-label ablation (``trie_depth=0``) and the
-broadcast ablation (``indexed_dispatch=False``) must all produce the same
+broadcast reference (``tests/_broadcast.py``) must all produce the same
 answers in the same firing order — as must every shard count, including
 mid-run installs *and* uninstalls (the eager-prune path).
 """
 
+from _broadcast import use_broadcast
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import EngineConfig, Simulation
@@ -92,10 +93,12 @@ def _event_term(label, symbol, venue, payload):
     return Data(label, tuple(children), False, attrs)
 
 
-def _run(specs, stream, mid_run=False, **config_kwargs):
+def _run(specs, stream, mid_run=False, reference=False, **config_kwargs):
     sim = Simulation(latency=0.0)
     node = sim.reactive_node("http://t.example",
                              config=EngineConfig(**config_kwargs))
+    if reference:
+        use_broadcast(node)
     fired = []
     node.install(*(
         _build_rule(index, spec, fired) for index, spec in enumerate(specs)
@@ -128,7 +131,7 @@ def test_trie_equals_every_dispatch_ablation(specs, stream):
     trie = _run(specs, stream)
     assert _run(specs, stream, trie_depth=1) == trie
     assert _run(specs, stream, trie_depth=0) == trie
-    assert _run(specs, stream, indexed_dispatch=False) == trie
+    assert _run(specs, stream, reference=True) == trie
 
 
 @given(RULE_SPECS, STREAMS, st.sampled_from([2, 3]))

@@ -2,8 +2,8 @@
 
 Events are delivered through a FIFO inbox drained by the scheduler (see the
 delivery model in :mod:`repro.web.node`): these tests pin the ordering,
-timing, batching, and backpressure-accounting guarantees the engine and the
-E14 experiment rely on.
+timing, batching, and backpressure-accounting guarantees the engine relies
+on.
 """
 
 import pytest
@@ -11,7 +11,7 @@ import pytest
 from repro.core import EngineConfig, PyAction, ReactiveEngine, eca
 from repro.errors import WebError
 from repro.events.queries import EAtom
-from repro.terms import d, parse_data, parse_query, q
+from repro.terms import d, q
 from repro.web import Scheduler, Simulation
 
 
@@ -176,6 +176,13 @@ class TestBatching:
         with pytest.raises(WebError):
             node.configure_delivery(inbox_batch=0)
 
+    def test_default_engine_config_leaves_node_delivery_alone(self):
+        sim = Simulation(latency=0.0)
+        node = sim.node("http://a.example")
+        node.configure_delivery(inbox_batch=4)
+        ReactiveEngine(node)  # default EngineConfig: inbox_batch unset
+        assert node.inbox_batch == 4
+
     def test_backpressure_stats(self):
         sim = Simulation(latency=0.0)
         reactive = sim.reactive_node("http://a.example",
@@ -188,64 +195,6 @@ class TestBatching:
         sim.run()
         assert reactive.stats.inbox_depth == 0
         assert reactive.stats.inbox_peak == 4
-
-
-class TestSyncAblation:
-    def test_sync_delivery_dispatches_inline(self):
-        sim = Simulation(latency=0.0)
-        node = sim.node("http://a.example")
-        node.configure_delivery(sync_delivery=True)
-        seen = []
-        node.on_event(lambda e: seen.append(e.term.label))
-        node.raise_local(d("ping"))
-        assert seen == ["ping"]  # no scheduler involvement
-
-    def test_engine_config_applies_to_node(self):
-        sim = Simulation(latency=0.0)
-        reactive = sim.reactive_node("http://a.example",
-                                     config=EngineConfig(sync_delivery=True))
-        hits = []
-        reactive.engine.install(eca("r", EAtom(parse_query("go")),
-                                    PyAction(lambda n, b: hits.append(1))))
-        reactive.raise_local("go{}")
-        assert hits == [1]
-
-    def test_default_engine_config_leaves_node_delivery_alone(self):
-        sim = Simulation(latency=0.0)
-        node = sim.node("http://a.example")
-        node.configure_delivery(sync_delivery=True, inbox_batch=4)
-        ReactiveEngine(node)  # default EngineConfig: both fields unset
-        assert node.sync_delivery is True
-        assert node.inbox_batch == 4
-
-    def test_sync_switch_cannot_jump_queued_backlog(self):
-        # Turning sync delivery on while events are queued must not let a
-        # later inline event overtake them: it lines up behind the backlog.
-        sim = Simulation(latency=0.0)
-        node = sim.node("http://a.example")
-        seen = []
-        node.on_event(lambda e: seen.append(e.term.label))
-        node.raise_local(d("first"))
-        node.configure_delivery(sync_delivery=True)
-        node.raise_local(d("second"))
-        assert seen == []  # second queued behind first, not dispatched inline
-        sim.run()
-        assert seen == ["first", "second"]
-
-    def test_sync_and_queued_same_firings(self):
-        results = []
-        for sync in (False, True):
-            sim = Simulation(latency=0.0)
-            node = sim.node("http://a.example")
-            engine = ReactiveEngine(node,
-                                    config=EngineConfig(sync_delivery=sync))
-            engine.install(eca("r", EAtom(parse_query("go{{}}")),
-                               PyAction(lambda n, b: None)))
-            for _ in range(7):
-                node.raise_local(parse_data("go{}"))
-            sim.run()
-            results.append(engine.stats.rule_firings)
-        assert results[0] == results[1] == 7
 
 
 class TestMidDrainInstall:
