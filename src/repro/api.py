@@ -50,7 +50,7 @@ one place every knob is documented: consumption policy, deductive event
 views, the discrimination trie's depth (``trie_depth``), the inbox drain
 batch (``inbox_batch``), the evaluator mechanism, scale-out (``shards``),
 and persistence (``store`` — a :class:`~repro.store.StoreConfig` swaps a
-durable WAL- or sqlite-backed resource store under the node before
+durable WAL-backed resource store under the node before
 anything attaches; reopening on the same path recovers committed state,
 and :meth:`ReactiveNode.deliver_replayed` re-notifies the replayed
 commits exactly once) — passed as ``sim.reactive_node(uri, config=...)``.
@@ -473,11 +473,11 @@ class ReactiveNode:
         """Deliver recovery-replayed commit notifications, exactly once.
 
         On a node reopened over a durable store
-        (``EngineConfig(store=StoreConfig(backend="wal" | "sqlite",
-        path=...))``) the commits recovered from the log wait until this
-        is called, so watchers registered *after* construction — polling
-        baselines, identity monitors, application callbacks — hear each
-        replayed commit exactly once.  Returns the number of commits
+        (``EngineConfig(store=StoreConfig(backend="wal", path=...))``)
+        the commits recovered from the log wait until this is called,
+        so watchers registered *after* construction — polling baselines,
+        identity monitors, application callbacks — hear each replayed
+        commit exactly once.  Returns the number of commits
         delivered; 0 on a memory-backed node, on a fresh store, and on
         every call after the first.
         """

@@ -217,14 +217,6 @@ class EngineConfig:
       governor switch incremental↔tree at runtime from observed traffic
       with lossless state migration (see :mod:`repro.events.governor`;
       tune its knobs with :func:`repro.events.governor.adaptive`).
-    - ``rate_halflife`` — EWMA half-life (simulated seconds) applied to
-      the engine's per-label observed event rates, the signal rate-aware
-      evaluators seed and re-plan their joins from on
-      :meth:`ReactiveEngine.refresh`.  ``None`` (default) keeps the
-      original cumulative counters — bit-for-bit the old behaviour,
-      where a skew reversal never re-orders an existing plan because
-      history outweighs any drift.  With a half-life, rates decay in
-      simulated time, so ``plan()`` orders follow the *recent* skew.
     - ``event_views`` — a non-recursive deductive :class:`Program`
       deriving further event terms from each incoming event (Thesis 9);
       rules can subscribe to the derived labels.
@@ -284,9 +276,8 @@ class EngineConfig:
     - ``store`` — a :class:`~repro.store.StoreConfig` makes the node's
       resource store durable: committed outermost transactions are
       persisted (``backend="wal"``: one CRC-framed group-commit record
-      and one fsync per transaction, with periodic snapshot compaction;
-      ``backend="sqlite"``: the same shape inside one database file) and
-      reopening a node on the same path recovers the committed state,
+      and one fsync per transaction, with periodic snapshot compaction)
+      and reopening a node on the same path recovers the committed state,
       per-URI version floors included (see :mod:`repro.store`).  ``None``
       or ``backend="memory"`` (the defaults) keep the plain in-memory
       store — bit-for-bit the pre-persistence path.  Only the facade
@@ -306,16 +297,12 @@ class EngineConfig:
     store: "object | None" = None  # StoreConfig; same deferred-import
     # discipline as ingest — core stays free of an import from repro.store
     evaluator: "str | object" = "incremental"
-    rate_halflife: "float | None" = None
 
     def __post_init__(self) -> None:
         # Fail at construction, not at first install; ConsumptionPolicy is
         # the single source of truth for valid policy names.
         ConsumptionPolicy(self.consumption)
         resolve_evaluator(self.evaluator)
-        if self.rate_halflife is not None and not self.rate_halflife > 0:
-            raise RuleError(
-                f"rate_halflife must be > 0, got {self.rate_halflife}")
         if self.trie_depth is not None and self.trie_depth < 0:
             raise RuleError(f"trie_depth must be >= 0, got {self.trie_depth}")
         if self.inbox_batch is not None and self.inbox_batch < 1:
@@ -617,12 +604,7 @@ class ReactiveEngine:
         self._factory = resolve_evaluator(config.evaluator)
         # Observed events per root label (derived events included): the
         # rate signal rate-aware evaluators seed their join plans from.
-        # Cumulative counters by default; with config.rate_halflife set
-        # they become EWMA masses decayed in simulated time (stamps
-        # below), so recent skew outweighs history.
         self._label_rates: dict[str, float] = {}
-        self._rate_halflife = config.rate_halflife
-        self._label_stamps: dict[str, float] = {}
         self._event_views = config.event_views
         # Depth cap handed to trie inserts (None = unbounded, 0 = never
         # split: the root-label-only ablation).
@@ -953,43 +935,15 @@ class ReactiveEngine:
         return [entry[1] for entry in
                 sorted(self._eval_entry.values(), key=lambda e: e[0])]
 
-    def _observe_label(self, label: str, now: float) -> None:
-        """Count one observed event into the per-label rate signal.
-
-        Cumulative (the original behaviour) unless the config sets
-        ``rate_halflife``, in which case the stored mass decays by the
-        simulated time elapsed since the label's last event.
-        """
+    def _observe_label(self, label: str) -> None:
+        """Count one observed event into the per-label rate signal."""
         rates = self._label_rates
-        if self._rate_halflife is None:
-            rates[label] = rates.get(label, 0.0) + 1.0
-            return
-        mass = rates.get(label, 0.0)
-        stamp = self._label_stamps.get(label, now)
-        if now > stamp:
-            mass *= 0.5 ** ((now - stamp) / self._rate_halflife)
-            stamp = now
-        rates[label] = mass + 1.0
-        self._label_stamps[label] = stamp
+        rates[label] = rates.get(label, 0.0) + 1.0
 
     def label_rates(self) -> dict[str, float]:
-        """The per-label rate signal as evaluators should see it *now*.
-
-        With ``rate_halflife`` unset this is the live cumulative dict
-        (identity-preserved: bit-for-bit the pre-decay path); with a
-        half-life every mass is decayed to the node's current simulated
-        time, so quiet labels fade and recent skew dominates.
-        """
-        if self._rate_halflife is None:
-            return self._label_rates
-        now = self.node.now
-        out = {}
-        for label, mass in self._label_rates.items():
-            stamp = self._label_stamps.get(label, now)
-            if now > stamp:
-                mass *= 0.5 ** ((now - stamp) / self._rate_halflife)
-            out[label] = mass
-        return out
+        """The per-label rate signal evaluators plan from: cumulative
+        event counts, the live dict the engine updates."""
+        return self._label_rates
 
     def mechanism_report(self) -> dict[str, dict]:
         """Per-rule evaluation-mechanism snapshot, by rule name.
@@ -1097,7 +1051,7 @@ class ReactiveEngine:
                   fire_for: "frozenset | None" = None) -> None:
         stats = self.stats
         label = event.term.label
-        self._observe_label(label, event.time)
+        self._observe_label(label)
         entries = self._interested(event)
         eval_entry = self._eval_entry
         if exclude:

@@ -19,8 +19,8 @@ them deterministic functions of the event stream the rule's query is
 interested in:
 
 - per-label EWMA event masses, decayed in *simulated* time
-  (``GovernorConfig.halflife``) — windowed rates, not the cumulative
-  counters the engine kept before ``EngineConfig(rate_halflife=...)``;
+  (``GovernorConfig.halflife``) — windowed rates, not the engine's
+  cumulative per-label counters;
 - the query's join-chain shapes (every windowed ``ESeq`` / ``EAnd`` with
   at least two positive members).
 

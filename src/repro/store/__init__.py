@@ -1,4 +1,4 @@
-"""Durable resource-store persistence (pluggable WAL / sqlite backends).
+"""Durable resource-store persistence (a pluggable write-ahead-log backend).
 
 The paper's persistent resources (Thesis 4) and transactional updates
 (Thesis 8) meet reality here: a :class:`DurableResourceStore` is a
@@ -18,8 +18,6 @@ Layout:
   :data:`BACKENDS` registry;
 - :mod:`repro.store.wal` — CRC-framed append-only log + atomically
   swapped snapshot, torn-tail repair;
-- :mod:`repro.store.sqlite` — the same snapshot+log shape inside one
-  SQLite database;
 - :mod:`repro.store.fault` — the fault-injection harness
   (:class:`~repro.store.fault.FaultPlan`,
   :class:`~repro.store.fault.FaultyFile`,

@@ -10,11 +10,10 @@ when reopened.
 
 The commit is the unit of everything:
 
-- **Atomicity** — one commit is one backend record (one WAL append / one
-  sqlite transaction), so a whole outermost
-  :class:`~repro.updates.transactions.Transaction` becomes durable with
-  a single fsync (*group commit*) or not at all; a crash can never
-  expose half of one.
+- **Atomicity** — one commit is one backend record (one WAL append), so
+  a whole outermost :class:`~repro.updates.transactions.Transaction`
+  becomes durable with a single fsync (*group commit*) or not at all;
+  a crash can never expose half of one.
 - **Recovery** — reopening a store replays the backend's retained
   commits onto its latest snapshot.  Replay restores the documents,
   keeps the per-URI monotonic version floor (the announced version of a
@@ -34,6 +33,9 @@ persisted — including the version numbers they burned.  Recovery
 therefore restores the floors of the *committed prefix*: a number burned
 by an uncommitted mutation after the last commit may be reused after a
 crash, which is harmless because no transactional watcher ever heard it.
+A commit the backend refuses (a closed store, a failing
+``append_commit``) is undone in memory before the error propagates, so
+the live state never runs ahead of what a reopen recovers.
 
 Commit records travel as the textual term serialisation the wire
 protocol already round-trips (:mod:`repro.terms.parser`), so any
@@ -43,8 +45,8 @@ serialisable document body persists unchanged::
             op{ uri["http://a.example/doc"] version[3] body{ doc{ ... } } }
             op{ uri["http://a.example/gone"] version[7] } }     # a delete
 
-Backends register by name in :data:`BACKENDS` (``memory`` / ``wal`` /
-``sqlite`` ship here; :func:`register_backend` adds more), selected via
+Backends register by name in :data:`BACKENDS` (``memory`` and ``wal``
+ship here; :func:`register_backend` adds more), selected via
 :class:`StoreConfig` on the facade:
 ``EngineConfig(store=StoreConfig(backend="wal", path=...))``.
 """
@@ -64,7 +66,7 @@ from repro.web.resources import Document, ResourceStore
 Op = tuple
 
 # ---------------------------------------------------------------------------
-# Commit record codec (shared by the WAL and sqlite backends)
+# Commit record codec
 # ---------------------------------------------------------------------------
 
 
@@ -203,14 +205,11 @@ class StoreConfig:
       :class:`~repro.web.resources.ResourceStore`, bit-for-bit the
       pre-persistence path), ``"wal"`` (append-only write-ahead log plus
       periodic snapshot compaction, CRC-framed records, group commit —
-      one fsync per outermost transaction), or ``"sqlite"`` (the same
-      snapshot+log shape inside a single SQLite database).  Names
-      resolve through :data:`BACKENDS`; :func:`register_backend` adds
-      custom ones.
-    - ``path`` — where the durable backends live: a *directory* for
-      ``wal`` (created if missing; holds ``store.wal`` and ``snapshot``),
-      a *database file* for ``sqlite``.  Required for both, ignored by
-      ``memory``.
+      one fsync per outermost transaction).  Names resolve through
+      :data:`BACKENDS`; :func:`register_backend` adds custom ones.
+    - ``path`` — the *directory* the ``wal`` backend persists into
+      (created if missing; holds ``store.wal`` and ``snapshot``).
+      Required for ``wal``, ignored by ``memory``.
     - ``fsync`` — ``True`` (default) fsyncs every commit record before
       the commit is acknowledged: the crash-at-any-point guarantee.
       ``False`` trades that for throughput (data loss bounded by the OS
@@ -220,16 +219,15 @@ class StoreConfig:
       (``None``: only explicit :meth:`DurableResourceStore.checkpoint`
       calls compact).  Smaller values bound recovery replay length and
       log size at the cost of rewriting the snapshot more often.
-    - ``fault`` — a :class:`repro.store.fault.FaultPlan` wired into the
-      backend's file operations; the fault-injection test seam, ``None``
-      in production.
+
+    Fault injection is not configured here: it is wired where the fault
+    happens, ``WalBackend(path, fault=FaultPlan(...))``.
     """
 
     backend: str = "memory"
     path: "str | None" = None
     fsync: bool = True
     snapshot_every: "int | None" = 256
-    fault: "object | None" = None
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -237,9 +235,9 @@ class StoreConfig:
                 f"unknown store backend {self.backend!r} (expected one of "
                 f"{', '.join(sorted(BACKENDS))})"
             )
-        if self.backend in ("wal", "sqlite") and not self.path:
+        if self.backend == "wal" and not self.path:
             # Custom backends judge their own config; the built-in durable
-            # ones cannot do anything without somewhere to persist.
+            # one cannot do anything without somewhere to persist.
             raise StoreError(
                 f"backend {self.backend!r} needs a path= to persist into"
             )
@@ -301,9 +299,16 @@ class DurableResourceStore(ResourceStore):
                 self._committed_floors[uri] = version
         self.commits += 1
         self._since_checkpoint += 1
+
+    def _make_durable(self, entries) -> tuple:
+        ops = super()._make_durable(entries)
+        # The cadence checkpoint runs once the commit is durable and is
+        # not part of it: a checkpoint that fails propagates, but never
+        # undoes a commit a reopen would recover.
         if (self._snapshot_every is not None
                 and self._since_checkpoint >= self._snapshot_every):
             self.checkpoint()
+        return ops
 
     # -- recovery surface ---------------------------------------------------
 
@@ -376,16 +381,7 @@ def _open_wal(config: StoreConfig) -> ResourceStore:
     from repro.store.wal import WalBackend
 
     return DurableResourceStore(
-        WalBackend(config.path, fsync=config.fsync, fault=config.fault),
-        snapshot_every=config.snapshot_every,
-    )
-
-
-def _open_sqlite(config: StoreConfig) -> ResourceStore:
-    from repro.store.sqlite import SqliteBackend
-
-    return DurableResourceStore(
-        SqliteBackend(config.path, fsync=config.fsync, fault=config.fault),
+        WalBackend(config.path, fsync=config.fsync),
         snapshot_every=config.snapshot_every,
     )
 
@@ -394,7 +390,6 @@ def _open_sqlite(config: StoreConfig) -> ResourceStore:
 BACKENDS: "dict[str, Callable[[StoreConfig], ResourceStore]]" = {
     "memory": _open_memory,
     "wal": _open_wal,
-    "sqlite": _open_sqlite,
 }
 
 

@@ -7,7 +7,7 @@
 - :mod:`repro.updates.primitives` — insert/delete/replace on data terms
   (query-term targeting, construct-term payloads) and on RDF graphs;
 - :mod:`repro.updates.transactions` — atomic execution of compound updates
-  over resource stores, with snapshot rollback.
+  over resource stores, rolled back from an O(ops) undo log.
 """
 
 from repro.updates.primitives import (

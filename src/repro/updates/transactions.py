@@ -2,9 +2,11 @@
 
 The most common compound action is a *sequence*; if one step fails the
 earlier steps must not remain half-applied.  A :class:`Transaction`
-snapshots one or more resource stores (cheap: documents are immutable) and
-rolls them back on failure.  Used by the action executor for ``Sequence``
-actions and available directly::
+rolls one or more resource stores back on failure from an *undo log*:
+the op buffer each store already keeps for the scope, where every entry
+records the document its op replaced.  Rollback therefore costs O(ops
+the transaction touched), whatever the size of the store.  Used by the
+action executor for ``Sequence`` actions and available directly::
 
     with Transaction(store) as tx:
         store.put(uri, new_root)
@@ -26,7 +28,9 @@ before any transactional watcher hears them — so on a durable store
 (:mod:`repro.store`) a whole transaction becomes permanent with a single
 WAL append and fsync (group commit), or not at all.  A rolled-back
 transaction never reaches the seam; after a crash, recovery restores
-exactly the committed prefix.
+exactly the committed prefix.  A commit the seam refuses (a closed
+store, a full disk) is undone in memory too, and the error propagates:
+memory never runs ahead of what a reopen would recover.
 """
 
 from __future__ import annotations
@@ -40,38 +44,44 @@ T = TypeVar("T")
 
 
 class Transaction:
-    """Snapshot-rollback transaction over one or more resource stores."""
+    """Undo-log transaction over one or more resource stores."""
 
     def __init__(self, *stores: ResourceStore) -> None:
         if not stores:
             raise TransactionError("a transaction needs at least one store")
         self._stores = stores
-        self._snapshots = [store.snapshot() for store in stores]
         # Buffer watcher notifications until the outcome is known; the
-        # marks let a nested rollback discard only its own scope.
+        # marks let a nested rollback undo and discard only its own scope.
         self._marks = [store._begin_buffering() for store in stores]
         self._finished = False
         self.committed = False
 
     def commit(self) -> None:
-        """Make the changes permanent (flushes buffered notifications
-        when this is the outermost transaction on each store)."""
+        """Make the changes permanent (persists and flushes buffered
+        notifications when this is the outermost transaction on each
+        store).  If a store cannot make its commit durable, that store's
+        changes are undone, the stores not yet committed are rolled back,
+        and the error propagates with ``committed`` left ``False``."""
         self._check_open()
         self._finished = True
+        scopes = list(zip(self._stores, self._marks))
+        for i, (store, mark) in enumerate(scopes):
+            try:
+                store._end_buffering(mark, commit=True)
+            except BaseException:
+                for later, later_mark in scopes[i + 1:]:
+                    later._rollback(later_mark)
+                raise
         self.committed = True
-        for store, mark in zip(self._stores, self._marks):
-            store._end_buffering(mark, commit=True)
 
     def rollback(self) -> None:
-        """Restore every store to its snapshot; watchers hear nothing of
-        the rolled-back changes (their buffered notifications are
+        """Undo every store's changes since the transaction began;
+        watchers hear nothing of them (their buffered notifications are
         discarded — the transaction never happened)."""
         self._check_open()
-        for store, snapshot in zip(self._stores, self._snapshots):
-            store.restore(snapshot)
         self._finished = True
         for store, mark in zip(self._stores, self._marks):
-            store._end_buffering(mark, commit=False)
+            store._rollback(mark)
 
     def _check_open(self) -> None:
         if self._finished:

@@ -15,20 +15,23 @@ notifications for its puts/deletes are *buffered* and only flushed — in
 update order — when the outermost transaction commits.  A rollback
 discards them, so observers (polling watchers, Thesis-10 identity
 monitors) never see phantom ``resource-changed`` events for intermediate
-states of an update that officially never happened.  Internal cache
-invalidators that must track even uncommitted state (the engine's
-deductive web views re-materialise lazily from whatever ``get`` returns)
-register with ``watch(fn, immediate=True)``: they are called synchronously
-on every mutation *and* on rollback, so a cache can never outlive the
-state it was built from.
+states of an update that officially never happened.  The buffer is also
+the transaction's undo log: each entry keeps the document its op
+replaced, so a rollback costs O(ops touched), not O(store size).
+
+Internal cache invalidators that must track even uncommitted state (the
+engine's deductive web views re-materialise lazily from whatever ``get``
+returns) register with ``watch(fn, immediate=True)``: they are called
+synchronously on every mutation *and* on rollback, so a cache can never
+outlive the state it was built from.
 
 Versions are **monotonic per URI** across the resource's whole lifetime:
 ``delete`` announces ``old.version + 1`` and a later ``put`` of the same
 URI continues counting from there instead of restarting at 1, so
 version-based change detection never sees time run backwards.
 
-Thread-safety: all mutation and snapshot/restore paths are serialised by
-an internal re-entrant lock.  Rule actions only ever run on the scheduler
+Thread-safety: all mutation and rollback paths are serialised by an
+internal re-entrant lock.  Rule actions only ever run on the scheduler
 thread, but the store is the one structure shared by every layer (engine
 actions, polling, identity monitors, application callbacks), so it guards
 itself rather than trusting every caller.
@@ -104,25 +107,27 @@ class ResourceStore:
         """True while a transaction is open (notifications are buffered)."""
         return self._tx_depth > 0
 
-    def _notify(self, uri: str, old: "Data | None", new: "Data | None",
-                version: int) -> None:
+    def _notify(self, uri: str, prior: "Document | None",
+                new: "Data | None", version: int) -> None:
+        """Announce one mutation; *prior* is the document it replaced."""
+        op = (uri, prior.root if prior else None, new, version)
         for watcher in self._immediate_watchers:
-            watcher(uri, old, new, version)
+            watcher(*op)
         if self._tx_depth > 0:
-            self._tx_buffer.append((uri, old, new, version))
+            self._tx_buffer.append((op, prior))
             return
         # A mutation outside any transaction is its own (single-op) commit:
         # it hits the persistence seam first, then the watchers, exactly
         # like an outermost transactional flush.
-        self._persist(((uri, old, new, version),))
+        self._make_durable(((op, prior),))
         for watcher in self._watchers:
-            watcher(uri, old, new, version)
+            watcher(*op)
 
     # -- transactions (driven by repro.updates.transactions) --------------------
 
     def _begin_buffering(self) -> int:
         """Open a (possibly nested) transaction scope; returns the buffer
-        mark the matching :meth:`_end_buffering` truncates to on rollback."""
+        mark :meth:`_rollback` undoes back to."""
         with self._lock:
             self._tx_depth += 1
             return len(self._tx_buffer)
@@ -130,9 +135,10 @@ class ResourceStore:
     def _end_buffering(self, mark: int, commit: bool) -> None:
         """Close one transaction scope.
 
-        A rollback discards the scope's buffered notifications (the
-        changes officially never happened); the *outermost* commit
-        flushes whatever survived, in update order, to the transactional
+        Without *commit* the scope's buffered entries are discarded —
+        the documents are left as they are; :meth:`_rollback` undoes them
+        first.  The *outermost* commit persists whatever survived as one
+        commit and flushes it, in update order, to the transactional
         watchers.
         """
         with self._lock:
@@ -142,16 +148,70 @@ class ResourceStore:
             if self._tx_depth > 0:
                 return
             pending, self._tx_buffer = self._tx_buffer, []
-            if pending:
-                # Durability before visibility: the whole outermost
-                # transaction is persisted as ONE commit (a durable backend
-                # covers it with one fsync — group commit) while the lock
-                # still serialises commit order; only then do transactional
-                # watchers hear about it.
-                self._persist(tuple(pending))
-        for uri, old, new, version in pending:
+            ops = self._make_durable(pending) if pending else ()
+        for op in ops:
             for watcher in self._watchers:
-                watcher(uri, old, new, version)
+                watcher(*op)
+
+    def _rollback(self, mark: int) -> None:
+        """Undo the scope opened at *mark*, then close it."""
+        with self._lock:
+            try:
+                self._undo(self._tx_buffer[mark:])
+            finally:
+                self._end_buffering(mark, commit=False)
+
+    def _make_durable(self, entries) -> tuple:
+        """Persist the ops of *entries* as one commit and return them.
+
+        Durability before visibility: a durable backend covers a whole
+        outermost transaction with one record and one fsync (group
+        commit) while the lock still serialises commit order.  A commit
+        that cannot be made durable is a failed commit: its ops are
+        undone before the error propagates, so memory never runs ahead
+        of what a reopen would recover.
+        """
+        ops = tuple(op for op, _prior in entries)
+        try:
+            self._persist(ops)
+        except BaseException:
+            self._undo(entries)
+            raise
+        return ops
+
+    def _undo(self, entries) -> None:
+        """Give every URI the buffer *entries* touched back the document it
+        had before the first of them — the undo log is the op buffer.
+
+        Transactional watchers hear nothing (the undone changes never
+        happened), but *immediate* watchers are re-notified for every URI
+        whose document changes back, so caches built from uncommitted
+        intermediate state are invalidated rather than left describing
+        documents that no longer exist.  The version announced is
+        ``max(recorded version, version floor)``: the undone mutations
+        burned numbers an immediate watcher already heard, and floors are
+        never lowered, so version-based change detection never sees time
+        run backwards.
+        """
+        before: "dict[str, Document | None]" = {}
+        for (uri, _old, _new, _version), prior in entries:
+            before.setdefault(uri, prior)
+        reverted = []
+        for uri, prior in before.items():
+            current = self._documents.get(uri)
+            if current is prior:
+                continue
+            if prior is None:
+                del self._documents[uri]
+            else:
+                self._documents[uri] = prior
+            recorded = prior.version if prior else current.version
+            reverted.append((uri, current.root if current else None,
+                             prior.root if prior else None,
+                             max(recorded, self._version_floor.get(uri, 0))))
+        for op in reverted:
+            for watcher in self._immediate_watchers:
+                watcher(*op)
 
     def _persist(self, ops) -> None:
         """Persistence seam: called with the committed operations of one
@@ -160,8 +220,8 @@ class ResourceStore:
         transactional watcher hears about them.  The in-memory store keeps
         nothing beyond the live documents, so this is a no-op; durable
         backends (:mod:`repro.store`) override it to append a
-        write-ahead-log record.  Raising here propagates to the mutator —
-        a commit that cannot be made durable is a failed commit."""
+        write-ahead-log record.  Raising here fails the commit: its ops
+        are undone and the error propagates to the mutator."""
 
     def deliver_replayed(self) -> int:
         """Deliver recovery-replayed commit notifications; the number of
@@ -211,7 +271,7 @@ class ResourceStore:
             document = Document(uri, root, version)
             self._documents[uri] = document
             self.writes += 1
-            self._notify(uri, old.root if old else None, root, version)
+            self._notify(uri, old, root, version)
         return document
 
     def update(self, uri: str, transform: Callable[[Data], Data]) -> Document:
@@ -231,50 +291,4 @@ class ResourceStore:
                           self._version_floor.get(uri, 0)) + 1
             self._version_floor[uri] = version
             self.writes += 1
-            self._notify(uri, old.root, None, version)
-
-    # -- snapshots (transactions) ---------------------------------------------------
-
-    def snapshot(self) -> dict[str, Document]:
-        """A cheap copy of the current state (documents are immutable)."""
-        with self._lock:
-            return dict(self._documents)
-
-    def restore(self, snapshot: dict[str, Document]) -> None:
-        """Roll back to a snapshot.
-
-        Transactional watchers hear nothing (the rolled-back changes
-        never happened; their buffered notifications are discarded by the
-        transaction), but *immediate* watchers are re-notified for every
-        URI whose content the restore changes back, so caches built from
-        uncommitted intermediate state are invalidated rather than left
-        describing documents that no longer exist.
-
-        The version announced for a reverted URI is ``max(snapshot
-        version, version floor)``: the rolled-back mutations burned
-        version numbers an immediate watcher already heard (a delete
-        announces ``old + 1`` the instant it happens), so re-announcing
-        the snapshot document at its *recorded* version would make time
-        run backwards for version-based change detection.  Floors are
-        never lowered, so the announced version can only stay or rise.
-        """
-        with self._lock:
-            before = self._documents
-            self._documents = dict(snapshot)
-            if not self._immediate_watchers:
-                return
-            reverted = []
-            for uri in before.keys() | snapshot.keys():
-                cur, snap = before.get(uri), snapshot.get(uri)
-                if cur is not snap:
-                    recorded = (snap.version if snap
-                                else (cur.version if cur else 0))
-                    reverted.append((
-                        uri,
-                        cur.root if cur else None,
-                        snap.root if snap else None,
-                        max(recorded, self._version_floor.get(uri, 0)),
-                    ))
-            for uri, old, new, version in reverted:
-                for watcher in self._immediate_watchers:
-                    watcher(uri, old, new, version)
+            self._notify(uri, old, None, version)

@@ -1,22 +1,17 @@
-"""EWMA label rates: ``EngineConfig(rate_halflife=...)``.
+"""The engine's per-label rates: cumulative event counts.
 
-The engine's per-label rates used to be cumulative counters: every event
-ever seen kept its full weight forever, so a workload whose skew
-*reversed* mid-run could never reorder a freshly-built join plan — the
-stale phase outvoted the live one.  ``rate_halflife`` makes the counters
-exponentially-decayed masses in simulated time.  The regression test
-here pins the observable difference: after a skew reversal, a decayed
-engine hands a newly-installed tree rule the *current* rarest-first
-order, while the legacy cumulative engine (still the default,
-bit-for-bit unchanged) keeps the stale one.
+Rate-aware evaluators seed and re-plan their join orders from
+``ReactiveEngine.label_rates()``.  Every event ever seen keeps its full
+weight, so after a skew *reversal* a freshly-built plan still follows
+the all-time counts; windowed, decaying rates are the adaptive
+governor's job (``GovernorConfig.halflife``), evaluator-local.  These
+tests pin the counter's contract: the live dict, never decayed, and the
+stale order it gives after a reversal.
 """
-
-import pytest
 
 from repro import EngineConfig, Simulation
 from repro.core import eca
 from repro.core.actions import PyAction
-from repro.errors import RuleError
 from repro.events import EAtom, ESeq, EWithin
 from repro.terms import LabelVar, d, q
 
@@ -37,49 +32,25 @@ def _schedule(sim, node, stream):
 
 
 class TestConfigSurface:
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_halflife_must_be_positive(self, bad):
-        with pytest.raises(RuleError, match="rate_halflife"):
-            EngineConfig(rate_halflife=bad)
-
     def test_none_is_the_legacy_cumulative_path(self):
         sim = Simulation(latency=0.0)
         node = _node(sim)
-        # Not a decayed copy: the very same dict the engine mutates, so
-        # the legacy path has zero new allocations or arithmetic.
+        # Not a copy: the very same dict the engine mutates, so reading
+        # the rates costs no allocation or arithmetic.
         assert node.engine.label_rates() is node.engine._label_rates
 
 
 class TestDecayArithmetic:
-    def test_mass_halves_per_halflife(self):
-        sim = Simulation(latency=0.0)
-        node = _node(sim, rate_halflife=2.0)
-        _schedule(sim, node, [(0.0, "a"), (2.0, "b"), (4.0, "c")])
-        sim.run()
-        rates = node.engine.label_rates()
-        # a@0 decayed across two halflives, b@2 across one, c@4 fresh.
-        assert rates["a"] == pytest.approx(0.25)
-        assert rates["b"] == pytest.approx(0.5)
-        assert rates["c"] == pytest.approx(1.0)
-
-    def test_repeat_events_accumulate_then_decay(self):
-        sim = Simulation(latency=0.0)
-        node = _node(sim, rate_halflife=2.0)
-        _schedule(sim, node, [(0.0, "a"), (0.0, "a"), (2.0, "a")])
-        sim.run()
-        # (1 + 1) halved once, plus the fresh arrival.
-        assert node.engine.label_rates()["a"] == pytest.approx(2.0)
-
     def test_cumulative_counters_never_decay(self):
         sim = Simulation(latency=0.0)
-        node = _node(sim)  # rate_halflife=None
+        node = _node(sim)
         _schedule(sim, node, [(0.0, "a"), (100.0, "b")])
         sim.run()
         assert node.engine.label_rates()["a"] == 1.0
 
 
 # The skew-reversal workload: phase 1 floods `a`, phase 2 floods `b`.
-# Cumulatively `b` stays the rare label forever; decayed, `a` is.
+# Cumulatively `b` stays the rare label forever.
 def _reversal_stream():
     stream = []
     for i in range(100):
@@ -93,9 +64,9 @@ def _reversal_stream():
     return sorted(stream)
 
 
-def _plan_after_reversal(**config_kwargs):
+def _plan_after_reversal():
     sim = Simulation(latency=0.0)
-    node = _node(sim, evaluator="tree", **config_kwargs)
+    node = _node(sim, evaluator="tree")
     _schedule(sim, node, _reversal_stream())
     sim.run()
     # A rule installed *now* is planned from the engine's current rates
@@ -106,11 +77,6 @@ def _plan_after_reversal(**config_kwargs):
 
 
 class TestSkewReversalRegression:
-    def test_decayed_rates_reorder_the_plan(self):
-        # Recent traffic is b-heavy, so a is now the rare label: join it
-        # first.  This is the reorder the cumulative counter can't do.
-        assert _plan_after_reversal(rate_halflife=2.0)["order"] == [0, 1]
-
     def test_cumulative_rates_keep_the_stale_order(self):
         # 102 a vs 45 b all-time: the dead phase-1 flood still outvotes
         # the live skew, so b stays "rare" and the plan stays stale.

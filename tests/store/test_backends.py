@@ -4,9 +4,12 @@ The crash-at-any-point *property* lives in ``test_crash_points.py``; this
 file pins the mechanisms it relies on — the commit record codec
 round-trip, CRC frame scanning, torn-tail truncation-repair, snapshot
 compaction semantics (replay skips compacted records), version-floor
-restoration, and the exactly-once replay-notification contract.
+restoration, the exactly-once replay-notification contract, and the
+failed-commit contract (a commit the backend refuses is undone in
+memory).
 """
 
+import errno
 import os
 
 import pytest
@@ -16,6 +19,8 @@ from repro.errors import StoreError
 from repro.store import (
     BACKENDS,
     DurableResourceStore,
+    Recovery,
+    StoreBackend,
     StoreConfig,
     decode_commit,
     encode_commit,
@@ -28,6 +33,7 @@ from repro.store.wal import (
     frame_record,
     scan_records,
 )
+from repro.updates import Transaction
 from repro.web.resources import ResourceStore
 
 DOC = "http://a.example/doc"
@@ -39,12 +45,7 @@ def wal_config(tmp_path, **kw):
     return StoreConfig(backend="wal", path=str(tmp_path / "store"), **kw)
 
 
-def sqlite_config(tmp_path, **kw):
-    kw.setdefault("snapshot_every", None)
-    return StoreConfig(backend="sqlite", path=str(tmp_path / "store.db"), **kw)
-
-
-DURABLE_CONFIGS = [wal_config, sqlite_config]
+DURABLE_CONFIGS = [wal_config]
 
 
 class TestCommitCodec:
@@ -237,6 +238,140 @@ class TestRecovery:
         store.close()  # idempotent
         with pytest.raises(StoreError):
             store.put(DOC, d("doc", 1))
+
+
+class DiskFullBackend(StoreBackend):
+    """Accepts commits until ``full`` is set, then refuses every append
+    the way a full disk does."""
+
+    name = "disk-full"
+
+    def __init__(self) -> None:
+        self.full = False
+        self.appended = []
+
+    def load(self) -> Recovery:
+        return Recovery({}, {}, 0, [])
+
+    def append_commit(self, seq, ops) -> None:
+        if self.full:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.appended.append((seq, tuple(ops)))
+
+    def checkpoint(self, documents, floors, seq) -> None:
+        pass
+
+
+def closed_wal_store(tmp_path):
+    store = open_store(wal_config(tmp_path))
+    return store, store.close, StoreError
+
+
+def disk_full_store(tmp_path):
+    backend = DiskFullBackend()
+    return (DurableResourceStore(backend),
+            lambda: setattr(backend, "full", True), OSError)
+
+
+def put_doc(store):
+    store.put(DOC, d("doc", d("n", 2)))
+
+
+def delete_doc(store):
+    store.delete(DOC)
+
+
+def transaction(store):
+    with Transaction(store):
+        store.put(OTHER, d("x"))
+        store.update(DOC, lambda root: d("doc", d("n", 2)))
+
+
+@pytest.mark.parametrize("make_store", [closed_wal_store, disk_full_store])
+@pytest.mark.parametrize("mutate", [put_doc, delete_doc, transaction])
+class TestFailedCommit:
+    """A commit that cannot be made durable changes nothing in memory:
+    the mutator raises, ``get``/``version``/``uris`` read the pre-commit
+    state, transactional watchers hear nothing, and immediate watchers
+    hear every change *and* its revert."""
+
+    def test_memory_equals_the_pre_commit_state(self, tmp_path, make_store,
+                                                mutate):
+        store, break_backend, error = make_store(tmp_path)
+        store.put(DOC, d("doc", d("n", 1)))
+        before = (store.get(DOC), store.version(DOC), store.uris())
+        committed, immediate = [], []
+        store.watch(lambda *op: committed.append(op))
+        store.watch(lambda *op: immediate.append(op), immediate=True)
+        break_backend()
+
+        with pytest.raises(error):
+            mutate(store)
+
+        assert (store.get(DOC), store.version(DOC), store.uris()) == before
+        assert not store.in_transaction()
+        assert committed == []
+        # Every URI ends, for immediate watchers, at the document it had.
+        last = {}
+        for uri, _old, new, _version in immediate:
+            last[uri] = new
+        assert last.get(DOC) == d("doc", d("n", 1))
+        assert last.get(OTHER) is None
+        versions = [v for uri, _o, _n, v in immediate if uri == DOC]
+        assert versions == sorted(versions)  # revert never goes backwards
+
+
+class TestFailedCommitRecovery:
+    @pytest.mark.parametrize("mutate", [put_doc, delete_doc, transaction])
+    def test_a_reopen_agrees_with_memory(self, tmp_path, mutate):
+        store, break_backend, error = closed_wal_store(tmp_path)
+        store.put(DOC, d("doc", d("n", 1)))
+        break_backend()
+        with pytest.raises(error):
+            mutate(store)
+        reopened = open_store(wal_config(tmp_path))
+        assert reopened.get(DOC) == store.get(DOC)
+        assert reopened.version(DOC) == store.version(DOC) == 1
+        assert reopened.uris() == store.uris()
+        reopened.close()
+
+    def test_transaction_is_not_committed(self, tmp_path):
+        store, break_backend, _error = disk_full_store(tmp_path)
+        break_backend()
+        transaction = Transaction(store)
+        store.put(DOC, d("doc"))
+        with pytest.raises(OSError):
+            transaction.commit()
+        assert transaction.committed is False
+        assert DOC not in store
+
+    def test_stores_after_the_refusing_one_roll_back(self, tmp_path):
+        broken, break_backend, _error = disk_full_store(tmp_path)
+        healthy = ResourceStore()
+        heard = []
+        healthy.watch(lambda *op: heard.append(op))
+        break_backend()
+        with pytest.raises(OSError):
+            with Transaction(broken, healthy):
+                broken.put(DOC, d("doc"))
+                healthy.put(DOC, d("doc"))
+        assert DOC not in broken and DOC not in healthy
+        assert not healthy.in_transaction()
+        assert heard == []
+
+    def test_the_store_commits_again_once_the_disk_has_room(self, tmp_path):
+        store, break_backend, _error = disk_full_store(tmp_path)
+        store.put(DOC, d("doc", d("n", 1)))            # v1
+        break_backend()
+        with pytest.raises(OSError):
+            store.put(DOC, d("doc", d("n", 2)))        # burns v2
+        store.backend.full = False
+        document = store.put(DOC, d("doc", d("n", 3)))
+        # Floors are never lowered: the refused commit's number stays
+        # burned, so version-based change detection never repeats one.
+        assert document.version == 3
+        assert [op[2] for _seq, ops in store.backend.appended
+                for op in ops] == [d("doc", d("n", 1)), d("doc", d("n", 3))]
 
 
 class TestWalTornTail:

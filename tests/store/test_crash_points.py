@@ -17,8 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import d
-from repro.store import StoreConfig, open_store
+from repro.store import DurableResourceStore
 from repro.store.fault import TEARS, FaultPlan, SimulatedCrash, crash_outcomes
+from repro.store.wal import WalBackend
 from repro.updates import Transaction
 
 URIS = ["http://a.example/x", "http://a.example/y", "http://a.example/z"]
@@ -26,18 +27,11 @@ URIS = ["http://a.example/x", "http://a.example/y", "http://a.example/z"]
 
 def wal_opener(snapshot_every=None, fsync=True):
     def open_wal(target, plan):
-        return open_store(StoreConfig(
-            backend="wal", path=os.path.join(target, "store"),
-            fsync=fsync, snapshot_every=snapshot_every, fault=plan))
+        return DurableResourceStore(
+            WalBackend(os.path.join(target, "store"), fsync=fsync,
+                       fault=plan),
+            snapshot_every=snapshot_every)
     return open_wal
-
-
-def sqlite_opener(snapshot_every=None):
-    def open_sqlite(target, plan):
-        return open_store(StoreConfig(
-            backend="sqlite", path=os.path.join(target, "store.db"),
-            snapshot_every=snapshot_every, fault=plan))
-    return open_sqlite
 
 
 def make_target_factory(tmp_path):
@@ -94,12 +88,6 @@ class TestEnumeratedCrashes:
             names.add(outcome.point_name)
         assert {"write", "fsync", "fsync-return",
                 "snapshot-swap", "truncate"} <= names
-
-    def test_sqlite_every_point(self, tmp_path):
-        for outcome in crash_outcomes(make_target_factory(tmp_path),
-                                      sqlite_opener(snapshot_every=2),
-                                      WORKLOAD, tears=("none",)):
-            outcome.check()
 
     def test_acked_commits_survive_fsync_crashes(self, tmp_path):
         """Stronger than check(): any commit whose mutation call *returned*

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import NodeNotFound, ResourceNotFound, WebError
 from repro.terms import d, parse_data, to_text, u
+from repro.updates import Transaction
 from repro.web import PollingWatcher, Request, Response, Scheduler, Simulation
 from repro.web.network import Message, authority
 from repro.web.soap import Envelope
@@ -284,14 +285,16 @@ class TestResources:
         assert seen[2][2] is None
 
     def test_snapshot_restore(self):
+        """A rolled-back transaction restores the state it began on."""
         sim = Simulation()
         node = sim.node("http://a.example")
         node.put("http://a.example/doc", d("doc", 1))
-        snapshot = node.resources.snapshot()
+        transaction = Transaction(node.resources)
         node.put("http://a.example/doc", d("doc", 2))
         node.put("http://a.example/other", d("x"))
-        node.resources.restore(snapshot)
+        transaction.rollback()
         assert node.get("http://a.example/doc") == d("doc", 1)
+        assert node.resources.version("http://a.example/doc") == 1
         assert "http://a.example/other" not in node.resources
 
 
