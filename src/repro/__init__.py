@@ -40,14 +40,7 @@ from repro.core.rulesets import (
     specificity_override,
 )
 from repro.errors import ReproError
-from repro.events import (
-    AdaptiveEvaluator,
-    GovernorConfig,
-    TreeEvaluator,
-    adaptive,
-    register_evaluator,
-    resolve_evaluator,
-)
+from repro.events import register_evaluator, resolve_evaluator
 from repro.ingest import IngestConfig, IngestGateway, IngestStats
 from repro.sharding import ShardRouter
 from repro.store import (
@@ -73,13 +66,11 @@ from repro.web.node import Simulation
 __version__ = "2.0.0"
 
 __all__ = [
-    "AdaptiveEvaluator",
     "Bindings",
     "Data",
     "DurableResourceStore",
     "EngineConfig",
     "FirstMatchGroup",
-    "GovernorConfig",
     "IngestConfig",
     "IngestGateway",
     "IngestStats",
@@ -93,8 +84,6 @@ __all__ = [
     "Simulation",
     "SpecificityGroup",
     "StoreConfig",
-    "TreeEvaluator",
-    "adaptive",
     "d",
     "errors",
     "first_match",

@@ -327,12 +327,7 @@ class ReactiveNode:
           ``specificity_override``) outranked by their group's winner
           and therefore never fired; 0 without combinator groups;
         - ``inbox_depth`` / ``inbox_peak`` — *gauges*: the node inbox's
-          current and peak backlog (backpressure);
-        - ``evaluator_switches`` — mechanism switches taken by adaptive
-          evaluators (``EngineConfig(evaluator="adaptive")``), summed
-          across rules and shards (replicas included, like every fleet
-          counter); always 0 for fixed mechanisms.  The per-rule view is
-          :meth:`mechanisms`.
+          current and peak backlog (backpressure).
 
         With an ingestion gateway configured (``EngineConfig(ingest=...)``)
         the front door's counters — ``admitted`` / ``rejected`` /
@@ -354,28 +349,10 @@ class ReactiveNode:
         else:
             # Unsharded: the one engine is the one shard, and the node
             # inbox is its inbox — a single snapshot serves both views.
-            total = replace(
-                self.engine.stats,
-                evaluator_switches=self.engine.evaluator_switches(), **gauges)
+            total = replace(self.engine.stats, **gauges)
             shards = (total,)
         return NodeStats(total, shards,
                          self.ingest.stats if self.ingest is not None else None)
-
-    def mechanisms(self) -> dict[str, dict]:
-        """Per-rule evaluation-mechanism report, by rule name.
-
-        Each row carries ``mechanism`` (``"incremental"`` / ``"tree"`` /
-        ``"naive"`` — for ``evaluator="adaptive"``, whichever the
-        governor currently runs), ``switches`` (mechanism switches taken
-        so far; always 0 for fixed mechanisms), and ``pinned`` (adaptive
-        only: ``True`` when the query admits no safe runtime switch and
-        is pinned to its initial mechanism; ``None`` for fixed
-        mechanisms).  On a sharded node replicas of one rule agree — the
-        governor decides from replica-identical signals — so one row per
-        rule is reported.
-        """
-        impl = self.router if self.router is not None else self.engine
-        return impl.mechanism_report()
 
     def __repr__(self) -> str:
         shards = "" if self.router is None else f", shards={len(self.router.engines)}"

@@ -173,11 +173,6 @@ class EngineStats:
     # the one place that sees both halves); 0 for a bare engine.
     inbox_depth: int = 0
     inbox_peak: int = 0
-    # Mechanism switches taken by adaptive evaluators across all active
-    # rules; stamped at snapshot time by the facade/router (the live
-    # counters sit on the evaluators, see mechanism_report()).  0 for
-    # fixed mechanisms.
-    evaluator_switches: int = 0
 
     def __getitem__(self, key: str):
         """Dict-style read access (``stats["rule_firings"]``) for reports."""
@@ -203,20 +198,14 @@ class EngineConfig:
       rule's evaluator: ``"unrestricted"`` (default), ``"chronicle"``, or
       ``"recent"`` (see :mod:`repro.events.consumption`).
     - ``evaluator`` — the event-query evaluation mechanism built for each
-      rule: ``"incremental"`` (default; prefix extension), ``"tree"``
-      (join trees with frequency-ordered plans, re-planned from the
-      node's observed per-label event rates on every
-      :meth:`ReactiveEngine.refresh`), or ``"naive"`` (full
-      re-evaluation, the Thesis 6 baseline).  Also accepts a custom
-      :class:`~repro.events.factory.EvaluatorFactory` or a bare
-      ``(query, rates) -> evaluator`` callable; all mechanisms produce
-      identical answers in identical order (property-tested), so the
-      knob only moves cost.  The engine, the shard router, and the
-      facade all build evaluators through this one seam.  A fourth
-      mechanism, ``"adaptive"``, starts incremental and lets a per-rule
-      governor switch incremental↔tree at runtime from observed traffic
-      with lossless state migration (see :mod:`repro.events.governor`;
-      tune its knobs with :func:`repro.events.governor.adaptive`).
+      rule: ``"incremental"`` (default; prefix extension) or ``"naive"``
+      (full re-evaluation, the Thesis 6 baseline and the test oracle).
+      Also accepts a custom :class:`~repro.events.factory.EvaluatorFactory`
+      or a bare ``(query, rates) -> evaluator`` callable (called with
+      ``rates=None``); both built-in mechanisms produce the same answers
+      (property-tested), so the knob only moves cost.  The engine, the
+      shard router, and the facade all build evaluators through this one
+      seam.
     - ``event_views`` — a non-recursive deductive :class:`Program`
       deriving further event terms from each incoming event (Thesis 9);
       rules can subscribe to the derived labels.
@@ -602,9 +591,6 @@ class ReactiveEngine:
         self.stats = EngineStats()
         self.consumption = config.consumption
         self._factory = resolve_evaluator(config.evaluator)
-        # Observed events per root label (derived events included): the
-        # rate signal rate-aware evaluators seed their join plans from.
-        self._label_rates: dict[str, float] = {}
         self._event_views = config.event_views
         # Depth cap handed to trie inserts (None = unbounded, 0 = never
         # split: the root-label-only ablation).
@@ -696,11 +682,7 @@ class ReactiveEngine:
         the property that keeps per-install latency flat at 100k installed
         rules (E22).  Batches containing rule sets still rebuild through
         :meth:`refresh` (set membership and combinator-group compilation
-        are whole-base properties).  One deliberate scope note: the
-        incremental path does not re-plan surviving evaluators' join
-        orders from current rates the way a full refresh does — plans
-        catch up on the next refresh (on a sharded node: at the router's
-        next full plan).  *procedures* holds ``(name, params, action)``
+        are whole-base properties).  *procedures* holds ``(name, params, action)``
         triples, as produced by :func:`repro.lang.parser.parse_program`.
         """
         procedures = tuple(procedures)
@@ -743,8 +725,7 @@ class ReactiveEngine:
                 # same rejection a full refresh would raise.
                 raise RuleError(f"duplicate rule name {rule.name!r}")
             seen.add(rule.name)
-        rates = self.label_rates()
-        built = [(rule, self.build_evaluator(rule, rates)) for rule in batch]
+        built = [(rule, self.build_evaluator(rule)) for rule in batch]
         for rule, evaluator in built:
             self._single_rules[rule.name] = rule
             self.add_rule((0, self._next_single), rule.name, rule, evaluator)
@@ -801,10 +782,9 @@ class ReactiveEngine:
             raise RuleError(f"cannot uninstall {item!r}")
         self.refresh()
 
-    def build_evaluator(self, rule: ECARule, rates=None):
-        """A fresh evaluator for *rule*, seeded from the rates seen so far."""
-        evaluator: object = self._factory.build(
-            rule.event, self.label_rates() if rates is None else rates)
+    def build_evaluator(self, rule: ECARule):
+        """A fresh evaluator for *rule*, wrapped in the consumption policy."""
+        evaluator: object = self._factory.build(rule.event)
         if self.consumption != "unrestricted":
             evaluator = ConsumingEvaluator(evaluator, self.consumption)
         return evaluator
@@ -904,19 +884,12 @@ class ReactiveEngine:
                 wanted[qualified_name] = rule
                 order[qualified_name] = (1, j, k)
         active: dict[str, tuple[ECARule, object]] = {}
-        rates = self.label_rates()
         for name, rule in wanted.items():
             current = self._active.get(name)
             if current is not None and current[0] is rule:
-                active[name] = current
-                # Surviving evaluators keep their state but get a chance to
-                # reorder their join plans from the rates seen so far (a
-                # no-op for mechanisms without a plan).
-                replan = getattr(current[1], "replan", None)
-                if replan is not None:
-                    replan(rates)
+                active[name] = current  # survivors keep their state
             else:
-                active[name] = (rule, self.build_evaluator(rule, rates))
+                active[name] = (rule, self.build_evaluator(rule))
         self._next_single = len(self._single_rules)
         live = {evaluator for _rule, evaluator in active.values()}
         self._touched.intersection_update(live)
@@ -934,39 +907,6 @@ class ReactiveEngine:
         """Names of the currently active rules, in installation order."""
         return [entry[1] for entry in
                 sorted(self._eval_entry.values(), key=lambda e: e[0])]
-
-    def _observe_label(self, label: str) -> None:
-        """Count one observed event into the per-label rate signal."""
-        rates = self._label_rates
-        rates[label] = rates.get(label, 0.0) + 1.0
-
-    def label_rates(self) -> dict[str, float]:
-        """The per-label rate signal evaluators plan from: cumulative
-        event counts, the live dict the engine updates."""
-        return self._label_rates
-
-    def mechanism_report(self) -> dict[str, dict]:
-        """Per-rule evaluation-mechanism snapshot, by rule name.
-
-        Each row carries ``mechanism`` (what currently evaluates the
-        query), ``switches`` (mechanism switches taken; 0 for fixed
-        mechanisms), and ``pinned`` (``True``/``False`` for adaptive
-        evaluators, ``None`` otherwise).
-        """
-        report = {}
-        for name, (_rule, evaluator) in self._active.items():
-            report[name] = {
-                "mechanism": getattr(evaluator, "mechanism",
-                                     type(evaluator).__name__),
-                "switches": getattr(evaluator, "switches", 0),
-                "pinned": getattr(evaluator, "pinned", None),
-            }
-        return report
-
-    def evaluator_switches(self) -> int:
-        """Total mechanism switches across all active evaluators."""
-        return sum(getattr(evaluator, "switches", 0)
-                   for _rule, evaluator in self._active.values())
 
     def define_procedure(self, name: str, params: tuple[str, ...], action) -> None:
         """Register a named action procedure (Thesis 9)."""
@@ -1050,8 +990,6 @@ class ReactiveEngine:
                   exclude: frozenset = frozenset(),
                   fire_for: "frozenset | None" = None) -> None:
         stats = self.stats
-        label = event.term.label
-        self._observe_label(label)
         entries = self._interested(event)
         eval_entry = self._eval_entry
         if exclude:

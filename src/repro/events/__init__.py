@@ -18,15 +18,13 @@ Implements Theses 4-6 of the paper:
   (:func:`repro.events.naive.answers`), which the property suite checks on
   random streams.
 
-Four evaluation mechanisms share that semantics, selected per node with
+Two evaluation mechanisms share that semantics, selected per node with
 ``EngineConfig(evaluator=...)`` and built through the
 :class:`EvaluatorFactory` seam (:func:`resolve_evaluator` /
-:func:`register_evaluator`): ``"incremental"`` (prefix extension),
-``"tree"`` (:class:`TreeEvaluator` — join trees with frequency-ordered
-plans), ``"naive"`` (the re-evaluation baseline), and ``"adaptive"``
-(:class:`AdaptiveEvaluator` — switches incremental↔tree per rule at
-runtime from a :class:`MechanismGovernor` cost model with hysteresis,
-migrating live state losslessly across the switch).
+:func:`register_evaluator`): ``"incremental"`` (prefix extension, the
+default) and ``"naive"`` (the re-evaluation baseline and the oracle).
+:func:`replay_horizon` bounds how much event history a query's live
+state can depend on.
 """
 
 from repro.events.answers import answer_sort_key, dedup_answers
@@ -38,17 +36,9 @@ from repro.events.factory import (
     register_evaluator,
     resolve_evaluator,
 )
-from repro.events.governor import (
-    AdaptiveEvaluator,
-    GovernorConfig,
-    MechanismGovernor,
-    adaptive,
-    replay_horizon,
-)
 from repro.events.incremental import IncrementalEvaluator
 from repro.events.model import Event, EventAnswer
 from repro.events.naive import NaiveEvaluator, answers
-from repro.events.tree import TreeEvaluator
 from repro.events.queries import (
     Discriminator,
     EAggregate,
@@ -64,11 +54,11 @@ from repro.events.queries import (
     pattern_event_interest,
     pattern_interest,
     query_interest,
+    replay_horizon,
     validate_query,
 )
 
 __all__ = [
-    "AdaptiveEvaluator",
     "ConsumingEvaluator",
     "ConsumptionPolicy",
     "Discriminator",
@@ -85,13 +75,9 @@ __all__ = [
     "EventAnswer",
     "EventInterest",
     "EvaluatorFactory",
-    "GovernorConfig",
     "IncrementalEvaluator",
-    "MechanismGovernor",
     "NaiveEvaluator",
     "ScheduledNaiveEvaluator",
-    "TreeEvaluator",
-    "adaptive",
     "answer_sort_key",
     "answers",
     "dedup_answers",

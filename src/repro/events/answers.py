@@ -1,6 +1,6 @@
 """Shared answer plumbing for the event-query evaluators.
 
-Every evaluation mechanism (naive, incremental, tree) returns batches of
+Every evaluation mechanism (naive, incremental) returns batches of
 :class:`~repro.events.model.EventAnswer` and must agree not only on the
 answer *sets* but on the *order within a batch* — the engine fires answers
 in batch order, so the order is part of the observable contract the

@@ -112,45 +112,6 @@ class ConsumingEvaluator:
     def next_deadline(self) -> float | None:
         return self._evaluator.next_deadline()
 
-    def replan(self, rates: "dict[str, float] | None" = None) -> None:
-        """Forward join re-planning to the wrapped evaluator.
-
-        A no-op for mechanisms without a plan to reorder (naive,
-        incremental); the tree evaluator reorders its join leaves.
-        """
-        inner = getattr(self._evaluator, "replan", None)
-        if inner is not None:
-            inner(rates)
-
-    @property
-    def mechanism(self) -> str:
-        """The wrapped evaluator's mechanism (for ``mechanism_report``)."""
-        return getattr(self._evaluator, "mechanism", "custom")
-
-    @property
-    def switches(self) -> int:
-        """Mechanism switches taken by the wrapped evaluator (adaptive)."""
-        return getattr(self._evaluator, "switches", 0)
-
-    @property
-    def pinned(self) -> "bool | None":
-        """Whether the wrapped adaptive evaluator is pinned (else None)."""
-        return getattr(self._evaluator, "pinned", None)
-
-    def plan(self):
-        """The wrapped evaluator's join plan, or None without one."""
-        describe = getattr(self._evaluator, "plan", None)
-        return describe() if describe is not None else None
-
-    def switch_to(self, target: str) -> bool:
-        """Force a mechanism switch on a wrapped adaptive evaluator.
-
-        Consumption marks live in this wrapper's policy, *outside* the
-        migrating state, so they survive the switch untouched.
-        """
-        switch = getattr(self._evaluator, "switch_to", None)
-        return switch(target) if switch is not None else False
-
     def reset(self) -> None:
         self._evaluator.reset()
         self.policy.forget()

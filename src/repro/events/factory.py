@@ -9,20 +9,17 @@ name            mechanism
 ==============  =============================================================
 ``incremental`` :class:`~repro.events.incremental.IncrementalEvaluator` —
                 prefix extension, the paper's data-driven default
-``tree``        :class:`~repro.events.tree.TreeEvaluator` — join trees with
-                frequency-ordered plans (rarest member first)
 ``naive``       :class:`ScheduledNaiveEvaluator` — full re-evaluation over
                 the whole history (the Thesis 6 baseline), wrapped so
                 absence deadlines still schedule engine wake-ups
-``adaptive``    :class:`~repro.events.governor.AdaptiveEvaluator` — starts
-                incremental and switches incremental↔tree per rule at
-                runtime, driven by a cost model over EWMA-decayed label
-                rates with hysteresis (see ``repro.events.governor``)
 ==============  =============================================================
 
 ``resolve_evaluator`` also accepts a factory object directly (anything with
 ``name`` and ``build(query, rates=None)``), so applications can register
 their own mechanism with :func:`register_evaluator` or pass one inline.
+The engine builds with ``build(query)`` alone: no built-in mechanism plans
+from rates, so the optional second argument is accepted for callers that
+still pass one and is otherwise ignored.
 """
 
 from __future__ import annotations
@@ -31,11 +28,9 @@ from heapq import heappop, heappush
 from typing import Protocol, runtime_checkable
 
 from repro.errors import EventQueryError
-from repro.events.governor import AdaptiveEvaluator
 from repro.events.incremental import IncrementalEvaluator
 from repro.events.naive import NaiveEvaluator
 from repro.events.queries import EAggregate, EAnd, ECount, ENot, EOr, ESeq, EWithin
-from repro.events.tree import TreeEvaluator
 
 __all__ = [
     "EVALUATORS",
@@ -46,15 +41,16 @@ __all__ = [
 ]
 
 #: The built-in evaluation mechanisms, by config name.
-EVALUATORS = ("incremental", "tree", "naive", "adaptive")
+EVALUATORS = ("incremental", "naive")
 
 
 @runtime_checkable
 class EvaluatorFactory(Protocol):
     """Builds one evaluator per rule; consumed by engine, router, facade.
 
-    ``rates`` (per-label event counts observed so far, possibly empty) lets
-    rate-aware mechanisms seed their plans; others ignore it.
+    The engine calls ``build(query)``.  ``rates`` is kept, optional and
+    unused by every built-in mechanism, so existing two-argument callers
+    keep working; a custom builder receives whatever the caller passed.
     """
 
     name: str
@@ -140,9 +136,7 @@ class _Factory:
 
 _REGISTRY: dict[str, EvaluatorFactory] = {
     "incremental": _Factory("incremental", lambda query, rates=None: IncrementalEvaluator(query)),
-    "tree": _Factory("tree", lambda query, rates=None: TreeEvaluator(query, rates)),
     "naive": _Factory("naive", lambda query, rates=None: ScheduledNaiveEvaluator(query)),
-    "adaptive": _Factory("adaptive", lambda query, rates=None: AdaptiveEvaluator(query, rates)),
 }
 
 
@@ -161,8 +155,8 @@ def register_evaluator(name: str, builder) -> EvaluatorFactory:
 def resolve_evaluator(spec) -> EvaluatorFactory:
     """Resolve the ``evaluator=`` config value to a factory.
 
-    Accepts a registered name (``"incremental"``, ``"tree"``, ``"naive"``,
-    or anything added via :func:`register_evaluator`), a factory object, or
+    Accepts a registered name (``"incremental"``, ``"naive"``, or anything
+    added via :func:`register_evaluator`), a factory object, or
     a bare ``(query, rates) -> evaluator`` callable.
     """
     if isinstance(spec, str):

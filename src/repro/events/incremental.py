@@ -103,10 +103,10 @@ class _OrOp(_Op):
         self._members = members
 
     def on_event(self, event: Event) -> list[EventAnswer]:
-        return _dedup(answer for op in self._members for answer in op.on_event(event))
+        return dedup_answers(answer for op in self._members for answer in op.on_event(event))
 
     def on_time(self, now: float) -> list[EventAnswer]:
-        return _dedup(answer for op in self._members for answer in op.on_time(now))
+        return dedup_answers(answer for op in self._members for answer in op.on_time(now))
 
     def gc(self, now: float) -> None:
         for op in self._members:
@@ -116,7 +116,7 @@ class _OrOp(_Op):
         return sum(op.state_size() for op in self._members)
 
     def next_deadline(self) -> float | None:
-        return _min_deadline(self._members)
+        return min_deadline(self._members)
 
     def reset(self) -> None:
         for op in self._members:
@@ -181,7 +181,7 @@ class _AndOp(_Op):
             for answer in member_delta:
                 self._seen[i].add(answer)
                 self._stores[i].append(answer)
-        return _dedup(out)
+        return dedup_answers(out)
 
     def gc(self, now: float) -> None:
         for op in self._members:
@@ -200,7 +200,7 @@ class _AndOp(_Op):
         return own + sum(op.state_size() for op in self._members)
 
     def next_deadline(self) -> float | None:
-        return _min_deadline(self._members)
+        return min_deadline(self._members)
 
     def reset(self) -> None:
         for op in self._members:
@@ -264,14 +264,14 @@ class _SeqOp(_Op):
         # (last positive exactly at start + window): fire it in this pass,
         # like the naive semantics does, instead of one entry point late.
         out.extend(self._fire_pending(event.time))
-        return _dedup(out)
+        return dedup_answers(out)
 
     def on_time(self, now: float) -> list[EventAnswer]:
         out = self._fire_pending(now)
         deltas = [op.on_time(now) for op in self._positives]
         out.extend(self._extend(deltas))
         out.extend(self._fire_pending(now))
-        return _dedup(out)
+        return dedup_answers(out)
 
     # -- internals --------------------------------------------------------------
 
@@ -427,7 +427,7 @@ class _SeqOp(_Op):
 
     def next_deadline(self) -> float | None:
         own = min((p.deadline for p in self._pending), default=None)
-        children = _min_deadline(self._positives)
+        children = min_deadline(self._positives)
         if own is None:
             return children
         if children is None:
@@ -548,7 +548,7 @@ class _AggOp(_Op):
             if result is None:
                 continue
             out.append(EventAnswer(result, ids, window_entries[0][0], event.time))
-        return _dedup(out)
+        return dedup_answers(out)
 
     def _window_slice(self, series: deque, now: float):
         query = self._query
@@ -618,13 +618,6 @@ def _compile(query, window: float | None) -> _Op:
     raise EventError(f"not an event query: {query!r}")
 
 
-# Shared with the tree evaluator (repro.events.answers); the old private
-# names stay as aliases because the operator classes above are also the
-# building blocks tree.py leans on for non-tree subqueries.
-_dedup = dedup_answers
-_min_deadline = min_deadline
-
-
 class IncrementalEvaluator:
     """Data-driven, incremental evaluation of one event query.
 
@@ -635,8 +628,6 @@ class IncrementalEvaluator:
     not depend on the caller polling — but callers that want absence
     answers *promptly* should schedule a call at :meth:`next_deadline`.
     """
-
-    mechanism = "incremental"
 
     def __init__(self, query) -> None:
         validate_query(query)
@@ -653,7 +644,7 @@ class IncrementalEvaluator:
         self._last_time = event.time
         out = self._root.on_event(event)
         self._root.gc(event.time)
-        return sorted(_dedup(out), key=answer_sort_key)
+        return sorted(dedup_answers(out), key=answer_sort_key)
 
     def advance_time(self, now: float) -> list[EventAnswer]:
         """Advance the clock; returns answers confirmed by absence."""
@@ -662,7 +653,7 @@ class IncrementalEvaluator:
         self._last_time = now
         out = self._root.on_time(now)
         self._root.gc(now)
-        return sorted(_dedup(out), key=answer_sort_key)
+        return sorted(dedup_answers(out), key=answer_sort_key)
 
     def interest(self):
         """The :class:`~repro.events.queries.EventInterest` of this query.

@@ -314,8 +314,6 @@ class NaiveEvaluator:
     baseline and as the test oracle.
     """
 
-    mechanism = "naive"
-
     def __init__(self, query) -> None:
         validate_query(query)
         self._query = query

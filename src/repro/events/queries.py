@@ -487,3 +487,52 @@ def validate_query(query: "EventQuery", _window: float | None = None) -> None:
             raise EventQueryError("window must be positive")
         return
     raise EventQueryError(f"not an event query: {query!r}")
+
+
+def replay_horizon(query, window: "float | None" = None) -> "float | None":
+    """Seconds of retained events sufficient to rebuild all live state.
+
+    The incremental evaluator gcs partial matches, blockers, and
+    pendings against the query's windows: after any call at time *t*,
+    every contributing event of still-live state has ``time >= t - H``
+    for the *H* computed here (a safe overestimate for nested
+    compositions), so replaying the last *H* seconds of events into a
+    fresh evaluator rebuilds it.  ``None`` means unbounded — some state
+    depends on arbitrarily old events (an unwindowed sequence, or an
+    ``EAggregate`` whose previous-aggregate baseline deliberately
+    survives gc) — and no bounded suffix suffices.
+
+    The *window* parameter threads the governing ``EWithin`` down the
+    composition, mirroring how evaluation compiles it.
+    """
+    if isinstance(query, EAtom):
+        return 0.0
+    if isinstance(query, EWithin):
+        return replay_horizon(query.query, query.window)
+    if isinstance(query, EOr):
+        worst = 0.0
+        for member in query.members:
+            h = replay_horizon(member, window)
+            if h is None:
+                return None
+            worst = max(worst, h)
+        return worst
+    if isinstance(query, (ESeq, EAnd)):
+        if window is None:
+            return None
+        worst = 0.0
+        for member in query.members:
+            if isinstance(member, ENot):
+                continue  # blockers are raw events inside the window
+            h = replay_horizon(member, window)
+            if h is None:
+                return None
+            worst = max(worst, h)
+        return window + worst
+    if isinstance(query, ECount):
+        return query.window  # the per-group series is window-pruned
+    if isinstance(query, EAggregate):
+        # The rise% baseline (_prev) survives gc by design: replay from
+        # any bounded suffix could resurrect a different baseline.
+        return None
+    return None

@@ -63,10 +63,8 @@ delta placements plus the arriving batch reach the size of the last full
 plan (a growable array's doubling rule: amortised O(1) re-plans per
 rule), or the arriving rule would have to be replicated across a split
 label's value shards (a fresh plan may find an axis it pins; once the
-label is delivered everywhere the next such rule is a delta).  Surviving
-evaluators re-plan their joins from observed rates only at a full plan,
-as a single engine does only at ``refresh()``; the balance contract is
-stated in ``docs/ARCHITECTURE.md`` ("Sharded nodes").
+label is delivered everywhere the next such rule is a delta).  The
+balance contract is stated in ``docs/ARCHITECTURE.md`` ("Sharded nodes").
 
 Every replica sees the full stream of events its query is interested in
 (the router delivers an event to each shard hosting an interested rule),
@@ -397,8 +395,8 @@ class ShardRouter:
             full = (len(self._delta) + len(rules) >= self._planned
                     or any(map(self._plan.widens, interests.values())))
         if full:
-            self._replan({**self._single_rules, **rules}, self._rulesets
-                         + [item for item in items if isinstance(item, RuleSet)])
+            self._plan_base({**self._single_rules, **rules}, self._rulesets
+                            + [item for item in items if isinstance(item, RuleSet)])
         else:
             self._install_delta(rules, interests)
         for name, params, action in procedures:
@@ -457,7 +455,7 @@ class ShardRouter:
             rulesets = [rs for rs in self._rulesets if rs is not named_sets[0]]
         else:
             raise RuleError(f"cannot uninstall {item!r}")
-        self._replan(self._single_rules, rulesets)
+        self._plan_base(self._single_rules, rulesets)
 
     def _retire(self, name: str) -> None:
         del self._single_rules[name]
@@ -474,7 +472,7 @@ class ShardRouter:
 
     def refresh(self) -> None:
         """Re-plan the whole base (e.g. after toggling a rule set)."""
-        self._replan(self._single_rules, self._rulesets)
+        self._plan_base(self._single_rules, self._rulesets)
 
     def define_procedure(self, name: str, params: tuple[str, ...], action) -> None:
         """Register a procedure on every shard (any shard's rule may CALL it)."""
@@ -524,7 +522,7 @@ class ShardRouter:
                        else query_interest(rule.event))
                 for name, (seq, rule) in rows.items()}
 
-    def _replan(self, singles: dict, rulesets: list) -> None:
+    def _plan_base(self, singles: dict, rulesets: list) -> None:
         """Plan the base *singles* + *rulesets*, move the fleet onto it.
 
         Quiescent, this is a *full plan*: fresh tables (`_fresh_plan`),
@@ -570,13 +568,6 @@ class ShardRouter:
         self._apply(old, built)
         for engine in self.engines:
             engine._groups = specs
-            if full:
-                # Survivors reorder their join plans from the rates seen so
-                # far here and only here, like a single engine's refresh.
-                rates = engine.label_rates()
-                for _rule, evaluator in engine._active.values():
-                    if hasattr(evaluator, "replan"):
-                        evaluator.replan(rates)
         if full:
             self.full_plans += 1
             self._planned = len(table)
@@ -978,27 +969,6 @@ class ShardRouter:
         return {name: placed.hosts
                 for name, placed in self._plan.rules.items()}
 
-    def mechanism_report(self) -> dict[str, dict]:
-        """Per-rule mechanism snapshot, merged across the fleet.
-
-        For a replicated rule the first hosting shard's row is reported.
-        Adaptive governors take decisions only from evaluator-local
-        signals (decayed label masses in *simulated* time), and replicas
-        of one rule see identical interested-event streams, so every
-        replica runs the same mechanism with the same switch count —
-        property-tested, so picking the first shard loses nothing.
-        """
-        report: dict[str, dict] = {}
-        for engine in self.engines:
-            for name, row in engine.mechanism_report().items():
-                report.setdefault(name, row)
-        return report
-
-    def evaluator_switches(self) -> int:
-        """Total mechanism switches across the fleet (replicas included,
-        like every other aggregate counter: it measures fleet work)."""
-        return sum(engine.evaluator_switches() for engine in self.engines)
-
     def aggregate_stats(self) -> EngineStats:
         """Sum of all shard counters, plus router-level derived events.
 
@@ -1015,9 +985,6 @@ class ShardRouter:
                     setattr(total, field_.name,
                             getattr(total, field_.name) + value)
         total.derived_events += self.derived_events
-        # Live switch counters sit on the evaluators, not in engine.stats
-        # (the summed field is always 0) — stamp the snapshot here.
-        total.evaluator_switches = self.evaluator_switches()
         return total
 
     def shard_stats(self) -> tuple[EngineStats, ...]:
@@ -1025,8 +992,7 @@ class ShardRouter:
         return tuple(
             replace(engine.stats,
                     inbox_depth=len(self._inboxes[si]),
-                    inbox_peak=self.inbox_peaks[si],
-                    evaluator_switches=engine.evaluator_switches())
+                    inbox_peak=self.inbox_peaks[si])
             for si, engine in enumerate(self.engines)
         )
 

@@ -19,7 +19,9 @@ correct recovery.
 Durability discipline per commit: one ``write`` of the whole framed
 record, one ``flush``, one ``fsync`` (when enabled) — group commit: a
 whole outermost transaction is one record, so multi-op atomicity costs
-nothing extra.
+nothing extra.  An append that fails (the write or the fsync raising,
+say ``ENOSPC``) is cut back out of the log before the error propagates,
+so the next commit extends a valid prefix (:meth:`WalBackend.append_commit`).
 
 Compaction (:meth:`WalBackend.checkpoint`) is crash-safe by ordering:
 
@@ -131,6 +133,7 @@ class WalBackend(StoreBackend):
         if os.path.exists(tmp):
             os.remove(tmp)
         self._wal = None  # opened by load()
+        self._end = 0     # byte offset just past the last acknowledged record
 
     # -- fault seam ----------------------------------------------------------
 
@@ -173,11 +176,9 @@ class WalBackend(StoreBackend):
             if problem is not None and valid_end < len(data):
                 # Repair: drop the torn tail so future appends extend a
                 # valid prefix instead of burying garbage mid-log.
-                with open(self.wal_path, "r+b") as fh:
-                    fh.truncate(valid_end)
-                    fh.flush()
-                    os.fsync(fh.fileno())
+                self._truncate_log(valid_end)
         self._wal = self._wrap(open(self.wal_path, "ab"))
+        self._end = os.path.getsize(self.wal_path)
         return Recovery.replay(documents, floors, base_seq, commits)
 
     def _read_snapshot(self):
@@ -218,12 +219,47 @@ class WalBackend(StoreBackend):
     # -- appends -------------------------------------------------------------
 
     def append_commit(self, seq: int, ops) -> None:
+        """Append one commit record and make it durable.
+
+        If the write or the fsync raises :class:`OSError` (a full disk,
+        an I/O error), the log is truncated back to where this append
+        began before the error propagates: a torn record left in place
+        would end every later recovery there and drop the acknowledged
+        commits appended after it.  If that repair fails as well, the log
+        is left closed and every further append is refused with
+        :class:`StoreError`.
+        """
+        if self._wal is None:
+            raise StoreError(f"the log {self.wal_path!r} is closed; "
+                             "the commit cannot be made durable")
         record = frame_record(encode_commit(seq, ops).encode("utf-8"))
-        self._wal.write(record)
-        if self.fsync:
-            _fsync_file(self._wal)
-        else:
-            self._wal.flush()
+        try:
+            self._wal.write(record)
+            if self.fsync:
+                _fsync_file(self._wal)
+            else:
+                self._wal.flush()
+        except OSError:
+            self._cut_back()
+            raise
+        self._end += len(record)
+
+    def _cut_back(self) -> None:
+        """Drop whatever a failed append left past the last good record."""
+        wal, self._wal = self._wal, None
+        try:
+            wal.close()  # bytes still buffered may land here; cut below
+        except OSError:
+            pass
+        self._truncate_log(self._end)
+        self._wal = self._wrap(open(self.wal_path, "ab"))
+
+    def _truncate_log(self, size: int) -> None:
+        """Cut the log file back to *size* bytes, durably."""
+        with open(self.wal_path, "r+b") as fh:
+            fh.truncate(size)
+            fh.flush()
+            os.fsync(fh.fileno())
 
     # -- compaction ----------------------------------------------------------
 
@@ -253,6 +289,7 @@ class WalBackend(StoreBackend):
         # this truncate leaves records whose seq <= snapshot seq — replay
         # skips them, so the reset is safe to lose.
         self._wal.truncate(0)
+        self._end = 0
         if self.fsync:
             _fsync_file(self._wal)
 

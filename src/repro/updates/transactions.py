@@ -88,17 +88,22 @@ class Transaction:
             raise TransactionError("transaction already finished")
 
     def __del__(self) -> None:
-        # An abandoned transaction (never committed nor rolled back) must
-        # not leave its stores buffering watcher notifications forever —
-        # release the scopes, discarding this scope's notifications, like
-        # a rollback would (the documents themselves are left as-is:
-        # deciding the data outcome is the caller's job, silencing every
-        # future watcher is not).
+        # An abandoned transaction (collected neither committed nor rolled
+        # back) is rolled back: its scopes close and their documents are
+        # undone through the same undo log ``rollback`` uses, so an outer
+        # rollback still reverts them, an outer commit never persists
+        # them, and a top-level abandoned scope leaves memory equal to
+        # what a reopen recovers.  Transactional watchers hear nothing;
+        # immediate watchers *are* re-announced the reverted documents,
+        # from wherever the collector runs this finalizer, because they
+        # are cache-invalidation hooks and must not go on describing
+        # documents that no longer exist.
         if getattr(self, "_finished", True):
             return
+        self._finished = True
         try:
             for store, mark in zip(self._stores, self._marks):
-                store._end_buffering(mark, commit=False)
+                store._rollback(mark)
         except Exception:
             pass  # interpreter teardown: never raise from __del__
 

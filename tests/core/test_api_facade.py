@@ -329,9 +329,9 @@ class TestNodeStatsNamespace:
         assert sum(s.rule_firings for s in stats.shards) == 1
 
     def test_evaluator_knob_reaches_the_facade(self):
-        from repro.events import TreeEvaluator
+        from repro.events import ScheduledNaiveEvaluator
 
-        sim, node = reactive_node(config=EngineConfig(evaluator="tree"))
+        sim, node = reactive_node(config=EngineConfig(evaluator="naive"))
         node.install(rule("r").on(EAtom(q("ping"))).do(
             PyAction(lambda n, b: None)))
         node.raise_local("ping{}")
@@ -339,4 +339,4 @@ class TestNodeStatsNamespace:
         assert node.stats.rule_firings == 1
         evaluators = [ev for _rule, ev in node.engine._active.values()]
         assert evaluators and all(
-            isinstance(ev, TreeEvaluator) for ev in evaluators)
+            isinstance(ev, ScheduledNaiveEvaluator) for ev in evaluators)

@@ -1,18 +1,18 @@
-"""Unit tests for the tree evaluator, join plans, and the evaluator factory.
+"""The evaluator factory, the scheduled naive evaluator, and named edge cases
+both mechanisms must agree on.
 
 The property suite (tests/properties/test_evaluator_equivalence.py) proves
-tree ≡ incremental ≡ naive over random streams; these tests pin down the
-named edge cases — same-instant absence deadlines, binding-sensitive
-interior negation, window expiry racing a positive, first-chance pending
-discard — plus the plan/replan surface and ``resolve_evaluator`` itself.
+incremental ≡ naive over random streams; these tests pin down the named
+edge cases — same-instant absence deadlines, binding-sensitive interior
+negation, window expiry racing a positive — plus ``resolve_evaluator``
+itself and the deadlines :class:`ScheduledNaiveEvaluator` advertises.
 """
 
 import pytest
 
-from repro.core import EngineConfig
+from repro.core import EngineConfig, PyAction, ReactiveEngine, eca
 from repro.errors import EventQueryError
 from repro.events import (
-    EAnd,
     EAtom,
     ENot,
     ESeq,
@@ -20,14 +20,12 @@ from repro.events import (
     IncrementalEvaluator,
     NaiveEvaluator,
     ScheduledNaiveEvaluator,
-    TreeEvaluator,
     register_evaluator,
     resolve_evaluator,
 )
 from repro.events.model import make_event
 from repro.terms import Var, d, q
-
-MECHANISMS = [TreeEvaluator, IncrementalEvaluator, NaiveEvaluator]
+from repro.web import Simulation
 
 
 def feed(evaluator, *specs):
@@ -42,20 +40,19 @@ def feed(evaluator, *specs):
 
 
 def all_mechanisms(query, *specs):
-    """Run *specs* through all three mechanisms; assert agreement and
-    return the tree evaluator's answers."""
+    """Run *specs* through both mechanisms; assert agreement and return
+    the incremental evaluator's answers."""
     results = {}
-    for mechanism in MECHANISMS:
+    for mechanism in (IncrementalEvaluator, NaiveEvaluator):
         # Fresh Event objects per mechanism get fresh ids; compare on the
         # content that is id-independent.
         answers = feed(mechanism(query), *specs)
         results[mechanism.__name__] = [
             (a.bindings, a.start, a.end, a.span) for a in answers
         ]
-    assert results["TreeEvaluator"] == results["IncrementalEvaluator"]
-    assert set(map(tuple, results["TreeEvaluator"])) == \
+    assert set(map(tuple, results["IncrementalEvaluator"])) == \
         set(map(tuple, results["NaiveEvaluator"]))
-    return results["TreeEvaluator"]
+    return results["IncrementalEvaluator"]
 
 
 ABSENCE = EWithin(ESeq(EAtom(q("a", Var("V"))), ENot(q("n"))), 4.0)
@@ -98,73 +95,6 @@ class TestNegationEdgeCases:
         assert len(on_edge) == 1 and on_edge[0][3] == 2.0
         assert all_mechanisms(query, (1.0, d("a", 1)), (3.5, d("b", 2))) == []
 
-    def test_first_chance_discards_pending_before_deadline(self):
-        tree = TreeEvaluator(ABSENCE)
-        feed(tree, (1.0, d("a", 7)))
-        seq_op = tree._root._member  # EWithin -> _TreeOp
-        assert len(seq_op._pending) == 1
-        # The blocker settles the pending match 3 time units early — no
-        # waiting for the deadline to find out.
-        feed(tree, (2.0, d("n", 0)))
-        assert seq_op._pending == []
-        assert feed(tree, (10.0, None)) == []
-
-    def test_time_order_enforced(self):
-        tree = TreeEvaluator(ABSENCE)
-        feed(tree, (2.0, d("a", 1)))
-        with pytest.raises(Exception, match="time order"):
-            tree.on_event(make_event(d("a", 2), 1.0))
-
-
-class TestJoinPlans:
-    SEQ = EWithin(ESeq(EAtom(q("a", Var("X"))), EAtom(q("b", Var("Y")))), 10.0)
-
-    def test_initial_plan_is_textual_order(self):
-        plan = TreeEvaluator(self.SEQ).plan()
-        assert plan["op"] == "seq"
-        assert plan["order"] == [0, 1]
-
-    def test_replan_moves_frequent_leaf_last(self):
-        tree = TreeEvaluator(self.SEQ)
-        tree.replan({"a": 100.0, "b": 1.0})
-        assert tree.plan()["order"] == [1, 0]  # rare b joins first
-
-    def test_rates_seed_the_initial_plan(self):
-        tree = TreeEvaluator(self.SEQ, rates={"a": 100.0, "b": 1.0})
-        assert tree.plan()["order"] == [1, 0]
-
-    def test_observed_traffic_outranks_stale_rates(self):
-        tree = TreeEvaluator(self.SEQ)
-        for step in range(3):
-            feed(tree, (float(step), d("a", step)))
-        tree.replan({"a": 0.0, "b": 50.0})
-        # 'a' has produced member answers, 'b' none: b is still rarer.
-        assert tree.plan()["order"] == [1, 0]
-
-    def test_replan_keeps_buffered_partial_matches(self):
-        tree = TreeEvaluator(self.SEQ)
-        baseline = IncrementalEvaluator(self.SEQ)
-        feed(tree, (1.0, d("a", 1)))
-        feed(baseline, (1.0, d("a", 1)))
-        tree.replan({"a": 100.0, "b": 1.0})
-        got = feed(tree, (2.0, d("b", 2)))
-        want = feed(baseline, (2.0, d("b", 2)))
-        assert [(a.bindings, a.start, a.end) for a in got] == \
-            [(a.bindings, a.start, a.end) for a in want]
-
-    def test_and_plan_and_leaf_queries(self):
-        both = TreeEvaluator(EAnd(EAtom(q("a")), EAtom(q("b"))))
-        assert both.plan()["op"] == "and"
-        assert TreeEvaluator(EAtom(q("a"))).plan() is None
-
-    def test_state_shrinks_after_window(self):
-        tree = TreeEvaluator(self.SEQ)
-        feed(tree, (1.0, d("a", 1)))
-        held = tree.state_size()
-        assert held > 0
-        feed(tree, (50.0, None))
-        assert tree.state_size() < held
-
 
 class TestScheduledNaive:
     def test_advertises_candidate_deadlines(self):
@@ -185,24 +115,37 @@ class TestScheduledNaive:
 
 class TestFactory:
     def test_unknown_name_lists_choices(self):
-        with pytest.raises(EventQueryError, match="incremental.*naive.*tree"):
+        with pytest.raises(EventQueryError, match="incremental.*naive"):
             resolve_evaluator("bogus")
 
     def test_engine_config_validates_the_knob(self):
-        assert EngineConfig(evaluator="tree").evaluator == "tree"
+        assert EngineConfig(evaluator="naive").evaluator == "naive"
         with pytest.raises(EventQueryError):
             EngineConfig(evaluator="bogus")
+        for retired in ("tree", "adaptive"):
+            with pytest.raises(EventQueryError):
+                EngineConfig(evaluator=retired)
 
     def test_factory_object_passes_through(self):
-        factory = resolve_evaluator("tree")
+        factory = resolve_evaluator("naive")
         assert resolve_evaluator(factory) is factory
-        assert factory.name == "tree"
-        assert isinstance(factory.build(ABSENCE), TreeEvaluator)
+        assert factory.name == "naive"
+        assert isinstance(factory.build(ABSENCE), ScheduledNaiveEvaluator)
 
     def test_rates_reach_the_builder(self):
-        built = resolve_evaluator("tree").build(
-            TestJoinPlans.SEQ, {"a": 100.0, "b": 1.0})
-        assert built.plan()["order"] == [1, 0]
+        """A custom builder receives whatever rates ``build`` was given;
+        the engine gives none."""
+        seen = []
+
+        def recording(query, rates=None):
+            seen.append(rates)
+            return IncrementalEvaluator(query)
+
+        resolve_evaluator(recording).build(ABSENCE, {"a": 1.0})
+        engine = ReactiveEngine(Simulation().node("http://f.example"),
+                                config=EngineConfig(evaluator=recording))
+        engine.install(eca("r", ABSENCE, PyAction(lambda n, b: None, "noop")))
+        assert seen == [{"a": 1.0}, None]
 
     def test_bare_callable_is_wrapped(self):
         def my_mechanism(query, rates=None):
@@ -214,10 +157,10 @@ class TestFactory:
 
     def test_register_evaluator_round_trips(self):
         register_evaluator(
-            "test-tree-alias", lambda query, rates=None: TreeEvaluator(query, rates))
-        config = EngineConfig(evaluator="test-tree-alias")
+            "test-naive-alias", lambda query, rates=None: NaiveEvaluator(query))
+        config = EngineConfig(evaluator="test-naive-alias")
         built = resolve_evaluator(config.evaluator).build(ABSENCE)
-        assert isinstance(built, TreeEvaluator)
+        assert isinstance(built, NaiveEvaluator)
 
     def test_non_factory_rejected(self):
         with pytest.raises(EventQueryError, match="name, factory, or builder"):

@@ -1,4 +1,4 @@
-"""Unit tests for event query validation and variable analysis."""
+"""Unit tests for event query validation, variable analysis and replay horizons."""
 
 import pytest
 
@@ -12,6 +12,7 @@ from repro.events import (
     EOr,
     ESeq,
     EWithin,
+    replay_horizon,
     validate_query,
 )
 from repro.events.queries import query_vars
@@ -121,3 +122,40 @@ class TestQueryVars:
     def test_aggregate_binds_into(self):
         agg = EAggregate(q("p", Var("P")), "P", "avg", "AVG", size=5, group_by=("S",))
         assert query_vars(agg) == {"S", "AVG"}
+
+
+# A windowed two-member chain: its live state needs 5 s of history.
+AB = EWithin(ESeq(EAtom(q("a")), EAtom(q("b"))), 5.0)
+
+
+class TestReplayHorizon:
+    def test_atom_needs_no_history(self):
+        assert replay_horizon(EAtom(q("a"))) == 0.0
+
+    def test_windowed_chain_is_bounded_by_its_window(self):
+        assert replay_horizon(AB) == 5.0
+
+    def test_unwindowed_chain_is_unbounded(self):
+        assert replay_horizon(ESeq(EAtom(q("a")), EAtom(q("b")))) is None
+
+    def test_negation_members_add_nothing(self):
+        query = EWithin(ESeq(EAtom(q("a")), EAtom(q("b")), ENot(q("n"))), 4.0)
+        assert replay_horizon(query) == 4.0
+
+    def test_nested_windows_accumulate(self):
+        inner = EWithin(ESeq(EAtom(q("b")), EAtom(q("c"))), 2.0)
+        query = EWithin(ESeq(EAtom(q("a")), inner), 10.0)
+        assert replay_horizon(query) == 12.0
+
+    def test_or_takes_the_worst_member(self):
+        assert replay_horizon(EOr(EAtom(q("a")), AB)) == 5.0
+        assert replay_horizon(
+            EOr(AB, ESeq(EAtom(q("a")), EAtom(q("b"))))) is None
+
+    def test_count_is_bounded_by_its_window(self):
+        assert replay_horizon(ECount(q("a"), 3, 5.0)) == 5.0
+
+    def test_aggregate_baseline_is_unbounded(self):
+        # The rise% baseline survives gc, so no bounded suffix rebuilds it.
+        assert replay_horizon(
+            EAggregate(q("s"), "p", "avg", "out", window=9.0)) is None

@@ -287,6 +287,26 @@ def transaction(store):
         store.update(DOC, lambda root: d("doc", d("n", 2)))
 
 
+class HalfWrite:
+    """A log file whose next ``write`` lands half the record on disk and
+    then fails the way a full disk does; later writes pass through."""
+
+    def __init__(self, file) -> None:
+        self._file = file
+        self.armed = True
+
+    def write(self, data: bytes) -> int:
+        if not self.armed:
+            return self._file.write(data)
+        self.armed = False
+        self._file.write(data[:len(data) // 2])
+        self._file.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+
 @pytest.mark.parametrize("make_store", [closed_wal_store, disk_full_store])
 @pytest.mark.parametrize("mutate", [put_doc, delete_doc, transaction])
 class TestFailedCommit:
@@ -372,6 +392,52 @@ class TestFailedCommitRecovery:
         assert document.version == 3
         assert [op[2] for _seq, ops in store.backend.appended
                 for op in ops] == [d("doc", d("n", 1)), d("doc", d("n", 3))]
+
+    def test_a_failed_append_leaves_no_torn_record(self, tmp_path):
+        config = wal_config(tmp_path)
+        store = open_store(config)
+        store.put(DOC, d("doc", d("n", 1)))
+        store.backend._wal = HalfWrite(store.backend._wal)
+        with pytest.raises(OSError):
+            store.put(DOC, d("doc", d("n", 2)))
+        store.put(OTHER, d("x"))                 # acknowledged and fsynced
+        store.close()
+        reopened = open_store(config)
+        assert reopened.get(OTHER) == d("x")
+        assert reopened.get(DOC) == d("doc", d("n", 1))
+        reopened.close()
+
+    def test_a_failed_append_is_cut_back_out_of_the_log(self, tmp_path):
+        config = wal_config(tmp_path)
+        store = open_store(config)
+        store.put(DOC, d("doc", d("n", 1)))
+        wal_path = os.path.join(config.path, WalBackend.WAL_FILE)
+        size = os.path.getsize(wal_path)
+        store.backend._wal = HalfWrite(store.backend._wal)
+        with pytest.raises(OSError):
+            store.put(DOC, d("doc", d("n", 2)))
+        assert os.path.getsize(wal_path) == size
+        with open(wal_path, "rb") as fh:
+            assert scan_records(fh.read())[2] is None   # no torn tail
+        store.close()
+
+    def test_a_failed_repair_refuses_further_appends(self, tmp_path,
+                                                     monkeypatch):
+        store = open_store(wal_config(tmp_path))
+        store.put(DOC, d("doc", d("n", 1)))
+        store.backend._wal = HalfWrite(store.backend._wal)
+
+        def no_fsync(fd):
+            raise OSError(errno.EIO, "Input/output error")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", no_fsync)  # the repair cannot sync
+            with pytest.raises(OSError):
+                store.put(DOC, d("doc", d("n", 2)))
+        with pytest.raises(StoreError, match="closed"):
+            store.put(OTHER, d("x"))
+        assert store.get(DOC) == d("doc", d("n", 1)) and OTHER not in store
+        store.close()
 
 
 class TestWalTornTail:

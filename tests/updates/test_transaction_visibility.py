@@ -130,6 +130,70 @@ class TestBufferedNotifications:
             [d("doc", "outer-1"), d("doc", "outer-2")]
 
 
+class TestAbandonedScopeRollsBack:
+    """A transaction collected unfinished is rolled back, documents and
+    all, exactly as an explicit ``rollback`` would have done."""
+
+    def test_outer_rollback_reverts_an_abandoned_inner_scope(self):
+        import gc
+
+        store = ResourceStore()
+        outer = Transaction(store)
+        inner = Transaction(store)
+        store.put(DOC, d("doc", 1))
+        del inner
+        gc.collect()
+        outer.rollback()
+        assert DOC not in store
+        assert not store.in_transaction()
+
+    def test_outer_commit_never_persists_an_abandoned_inner_scope(self):
+        import gc
+
+        store, seen = watched_store()
+        with Transaction(store):
+            store.put(DOC, d("doc", 1))
+            inner = Transaction(store)
+            store.put(DOC, d("doc", 2))
+            del inner
+            gc.collect()
+            assert store.get(DOC) == d("doc", 1)
+        assert [new for _u, _o, new, _v in seen] == [d("doc", 1)]
+
+    def test_immediate_watchers_hear_the_revert(self):
+        import gc
+
+        store = ResourceStore()
+        heard = []
+        store.watch(lambda uri, old, new, v: heard.append((new, v)),
+                    immediate=True)
+        transaction = Transaction(store)
+        store.put(DOC, d("doc", 1))
+        del transaction
+        gc.collect()
+        assert heard == [(d("doc", 1), 1), (None, 1)]
+
+    def test_top_level_abandoned_scope_agrees_with_a_reopen(self, tmp_path):
+        import gc
+
+        from repro.store import StoreConfig, open_store
+
+        config = StoreConfig(backend="wal", path=str(tmp_path / "store"),
+                             snapshot_every=None)
+        store = open_store(config)
+        store.put(DOC, d("doc", 1))
+        transaction = Transaction(store)
+        store.put(DOC, d("doc", 2))
+        store.put("http://a.example/tmp", d("tmp"))
+        del transaction
+        gc.collect()
+        reopened = open_store(config)
+        assert store.uris() == reopened.uris()
+        assert store.get(DOC) == reopened.get(DOC) == d("doc", 1)
+        reopened.close()
+        store.close()
+
+
 class TestEngineAtomicSequence:
     def _node(self):
         sim = Simulation(latency=0.0)
