@@ -14,7 +14,8 @@ import time
 sys.path.insert(0, "benchmarks")
 from _harness import parse_cli, pick, print_table
 
-from repro.core import NotCond, PyAction, QueryCond, ReactiveEngine, eca, ecaa
+from repro.core import (EngineConfig, NotCond, PyAction, QueryCond,
+                        ReactiveEngine, eca, ecaa)
 from repro.deductive import DeductiveRule, Match, Program
 from repro.events.queries import EAtom
 from repro.terms import Var, c, parse_data, parse_query
@@ -77,7 +78,7 @@ def run_views(variant: str, rules: int = 16, events: int = 150) -> dict:
             [DeductiveRule(c("high-value", Var("S"), Var("R")), (Match(CLASSIFIER),))],
             allow_recursion=False,
         )
-        engine = ReactiveEngine(node, event_views=views)
+        engine = ReactiveEngine(node, config=EngineConfig(event_views=views))
         trigger = EAtom(parse_query("high-value[[ var S, var R ]]"))
     else:
         engine = ReactiveEngine(node)

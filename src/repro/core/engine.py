@@ -564,17 +564,10 @@ def resolve_group_answers(rows: list) -> None:
 class ReactiveEngine:
     """Rule evaluation and action execution for one node."""
 
-    def __init__(self, node: WebNode, event_views: "Program | None" = None,
-                 consumption: str = "unrestricted",
-                 config: "EngineConfig | None" = None, *,
-                 attach: bool = True) -> None:
+    def __init__(self, node: WebNode, config: "EngineConfig | None" = None,
+                 *, attach: bool = True) -> None:
         if config is None:
-            config = EngineConfig(consumption=consumption, event_views=event_views)
-        elif event_views is not None or consumption != "unrestricted":
-            raise RuleError(
-                "pass consumption/event_views through EngineConfig when "
-                "config= is given (mixing both is ambiguous)"
-            )
+            config = EngineConfig()
         if config.shards != 1:
             raise RuleError(
                 f"a bare ReactiveEngine is exactly one shard; shards="

@@ -13,16 +13,42 @@ parser round-trips, so this is loss-free); rule structure (event algebra,
 conditions, actions) is encoded structurally so receivers can *query*
 policies — e.g. "does this policy ever ask for my credit card number?".
 
+The format is written down once, in ``_TABLE``: each term label names its
+AST class, the class's fields in child order and its attributes with
+their defaults.  One encoder and one checked decoder read the table.  A
+field is ``name:shape``, and a shape is one of
+
+- ``E`` / ``C`` / ``A`` — a nested event-query, condition or action term;
+- ``q`` / ``c`` — query or construct text;
+- ``u`` — a URI, ``uri{"..."}`` or ``uri-var{"X"}``; ``n`` — a rule name,
+  a bare string or ``uri-var{"X"}``;
+- ``s`` / ``i`` / ``f`` — a string, integer or number scalar;
+- ``key{shape,...}`` — a keyed child wrapping the shapes inside it (one
+  shape gives its value, several give a tuple);
+
+with a leading ``*`` for a variadic tail and a trailing ``?`` for an
+optional field (a keyed one is present iff the next child carries its
+key).
+
+Decoding contract: :func:`term_to_rule` raises :class:`MetaError` and
+nothing else on a malformed term — a wrong label, arity or child kind, a
+keyed child out of order, an extra child, and any library error (parse,
+event-query or rule validation) raised while building the AST.  The
+message names the path to the fault (``eca-rule/on/e-seq/e-atom: ...``)
+and the original error is the ``__cause__``.
+
 Rules containing :class:`~repro.core.actions.PyAction` are not
 serialisable and are refused with :class:`~repro.errors.MetaError`.
 """
 
 from __future__ import annotations
 
+import inspect
+
 from repro.core import actions as act
 from repro.core import conditions as cond
 from repro.core.rules import ECARule
-from repro.errors import MetaError
+from repro.errors import MetaError, ReWebError
 from repro.events.queries import (
     EAggregate,
     EAnd,
@@ -36,304 +62,211 @@ from repro.events.queries import (
 from repro.terms.ast import Data, Var
 from repro.terms.parser import parse_construct, parse_query, to_text
 
+#: label -> (AST class, "field:shape ...", ((attribute, AST field, default), ...))
+_TABLE = {
+    "e-atom": (EAtom, "pattern:q", (("alias", "alias", None),)),
+    "e-and": (EAnd, "members:*E"),
+    "e-or": (EOr, "members:*E"),
+    "e-seq": (ESeq, "members:*E"),
+    "e-not": (ENot, "pattern:q"),
+    "e-within": (EWithin, "query:E window:f"),
+    "e-count": (ECount, "pattern:q n:i window:f group_by:group{*s}"),
+    "e-agg": (EAggregate, "pattern:q on:on{s} fn:fn{s} into:into{s} "
+                          "group_by:group{*s} size:size{i}? window:window{f}? "
+                          "predicate:predicate{s,f}?"),
+    "c-true": (cond.TrueCond, ""),
+    "c-query": (cond.QueryCond, "uri:u query:q"),
+    "c-not": (cond.NotCond, "inner:C"),
+    "c-and": (cond.AndCond, "members:*C"),
+    "c-or": (cond.OrCond, "members:*C"),
+    "c-cmp": (cond.CompareCond, "lhs:c op:s rhs:c"),
+    "a-raise": (act.Raise, "to:u term:c"),
+    "a-update": (act.Update, "uri:u target:target{q} payload:payload{c}?",
+                 (("kind", "kind", "insert"), ("position", "position", "end"),
+                  ("require", "require_effect", False))),
+    "a-put": (act.PutResource, "uri:u content:c"),
+    "a-delete-resource": (act.DeleteResource, "uri:u"),
+    "a-persist": (act.Persist, "uri:u content:c", (("root", "root_label", "log"),)),
+    "a-seq": (act.Sequence, "actions:*A", (("atomic", "atomic", True),)),
+    "a-alt": (act.Alternative, "actions:*A"),
+    "a-cond": (act.Conditional, "condition:C then:A otherwise:A?"),
+    "a-call": (act.CallProcedure, "name:s args:*arg{s,c}"),
+    "a-install": (act.InstallRule, "rule_term:c"),
+    "a-uninstall": (act.UninstallRule, "name:n"),
+    "eca-rule": (ECARule, "event:on{E} branches:branches{*branch{C,A}} "
+                          "otherwise:else{A}?",
+                 (("name", "name", None), ("firing", "firing", "all"))),
+}
+
+#: Nested-term kind -> the label prefix of its table entries, and its name.
+_KINDS = {"E": ("e-", "event query"), "C": ("c-", "condition"),
+          "A": ("a-", "action"), "R": ("eca-", "rule")}
+
+#: Scalar and text kinds -> (accepted child types, decoder, name).
+_SCALARS = {"s": (str, str, "a string"), "i": (int, int, "an integer"),
+            "f": ((int, float), float, "a number"),
+            "q": (str, parse_query, "query text"),
+            "c": (str, parse_construct, "construct text")}
+
+
+def _shape(text: str) -> tuple:
+    """``[*]word[{shape,...}][?]`` -> ``(word, inner shapes or None, tail)``."""
+    tail = "*" if text.startswith("*") else "?" if text.endswith("?") else ""
+    word, brace, body = text.strip("*?").partition("{")
+    if not brace:
+        return word, None, tail
+    parts, depth, start = [], 0, 0
+    for i, char in enumerate(body[:-1]):
+        depth += (char == "{") - (char == "}")
+        if char == "," and depth == 0:
+            parts.append(body[start:i])
+            start = i + 1
+    parts.append(body[start:-1])
+    return word, tuple(_shape(part) for part in parts), tail
+
+
+def _compile(cls, fields: str, attrs: tuple = ()) -> tuple:
+    names, shapes = [], []
+    for field in fields.split():
+        name, _, shape = field.partition(":")
+        names.append(name)
+        shapes.append(_shape(shape))
+    star = [p.name for p in inspect.signature(cls).parameters.values()
+            if p.kind is p.VAR_POSITIONAL]
+    return cls, tuple(names), tuple(shapes), attrs, star[0] if star else None
+
+
+_SPECS = {label: _compile(*entry) for label, entry in _TABLE.items()}
+_LABELS = {spec[0]: label for label, spec in _SPECS.items()}
+
 
 def _d(label: str, *children, **attrs) -> Data:
     return Data(label, tuple(children), True, tuple(sorted(attrs.items())))
 
 
-def _uri_term(uri: "str | Var") -> Data:
-    if isinstance(uri, Var):
-        return _d("uri-var", uri.name)
-    return _d("uri", uri)
+def _is(child, label: str) -> bool:
+    return isinstance(child, Data) and child.label == label
 
 
-def _uri_from(term: Data) -> "str | Var":
-    if term.label == "uri-var":
-        return Var(str(term.value))
-    if term.label == "uri":
-        return str(term.value)
-    raise MetaError(f"expected uri/uri-var, got {term.label!r}")
+def _encode_node(value, kind: str) -> Data:
+    if kind == "C" and value is None:
+        value = cond.TrueCond()
+    label = _LABELS.get(type(value))
+    prefix, what = _KINDS[kind]
+    if label is None or not label.startswith(prefix):
+        raise MetaError(f"{type(value).__name__} is not serialisable as {what}; "
+                        "rules containing it cannot be exchanged")
+    _cls, names, shapes, attrs, _star = _SPECS[label]
+    children = _encode_fields([getattr(value, name) for name in names], shapes)
+    attributes = {}
+    for attr, field, _default in attrs:
+        item = getattr(value, field)
+        if item is not None:
+            attributes[attr] = str(item).lower() if isinstance(item, bool) else item
+    return _d(label, *children, **attributes)
 
 
-# ---------------------------------------------------------------------------
-# Event queries
-# ---------------------------------------------------------------------------
+def _encode_fields(values, shapes) -> list:
+    children = []
+    for value, (word, inner, tail) in zip(values, shapes):
+        if tail == "*":
+            children.extend(_encode(item, word, inner) for item in value)
+        elif value is not None or tail != "?":
+            children.append(_encode(value, word, inner))
+    return children
 
 
-def event_to_term(query) -> Data:
-    if isinstance(query, EAtom):
-        attrs = {"alias": query.alias} if query.alias else {}
-        return _d("e-atom", to_text(query.pattern), **attrs)
-    if isinstance(query, EAnd):
-        return _d("e-and", *(event_to_term(m) for m in query.members))
-    if isinstance(query, EOr):
-        return _d("e-or", *(event_to_term(m) for m in query.members))
-    if isinstance(query, ESeq):
-        members = []
-        for member in query.members:
-            if isinstance(member, ENot):
-                members.append(_d("e-not", to_text(member.pattern)))
-            else:
-                members.append(event_to_term(member))
-        return _d("e-seq", *members)
-    if isinstance(query, EWithin):
-        return _d("e-within", event_to_term(query.query), float(query.window))
-    if isinstance(query, ECount):
-        return _d(
-            "e-count",
-            to_text(query.pattern),
-            query.n,
-            float(query.window),
-            _d("group", *query.group_by),
-        )
-    if isinstance(query, EAggregate):
-        children = [
-            to_text(query.pattern),
-            _d("on", query.on),
-            _d("fn", query.fn),
-            _d("into", query.into),
-            _d("group", *query.group_by),
-        ]
-        if query.size is not None:
-            children.append(_d("size", query.size))
-        if query.window is not None:
-            children.append(_d("window", float(query.window)))
-        if query.predicate is not None:
-            children.append(_d("predicate", query.predicate[0], float(query.predicate[1])))
-        return _d("e-agg", *children)
-    raise MetaError(f"cannot encode event query {query!r}")
-
-
-def term_to_event(term: Data):
-    if not isinstance(term, Data):
-        raise MetaError(f"expected an event-query term, got {term!r}")
-    if term.label == "e-atom":
-        pattern = parse_query(str(term.children[0]))
-        return EAtom(pattern, alias=term.attr("alias"))
-    if term.label == "e-and":
-        return EAnd(*(term_to_event(c) for c in term.children))
-    if term.label == "e-or":
-        return EOr(*(term_to_event(c) for c in term.children))
-    if term.label == "e-seq":
-        members = []
-        for child in term.children:
-            if isinstance(child, Data) and child.label == "e-not":
-                members.append(ENot(parse_query(str(child.children[0]))))
-            else:
-                members.append(term_to_event(child))
-        return ESeq(*members)
-    if term.label == "e-within":
-        return EWithin(term_to_event(term.children[0]), float(term.children[1]))
-    if term.label == "e-count":
-        pattern, n, window, group = term.children
-        return ECount(parse_query(str(pattern)), int(n), float(window),
-                      tuple(str(g) for g in group.children))
-    if term.label == "e-agg":
-        pattern = parse_query(str(term.children[0]))
-        fields = {c.label: c for c in term.children[1:] if isinstance(c, Data)}
-        predicate = None
-        if "predicate" in fields:
-            op, value = fields["predicate"].children
-            predicate = (str(op), float(value))
-        return EAggregate(
-            pattern,
-            str(fields["on"].value),
-            str(fields["fn"].value),
-            str(fields["into"].value),
-            size=int(fields["size"].value) if "size" in fields else None,
-            window=float(fields["window"].value) if "window" in fields else None,
-            group_by=tuple(str(g) for g in fields["group"].children),
-            predicate=predicate,
-        )
-    raise MetaError(f"unknown event-query encoding {term.label!r}")
-
-
-# ---------------------------------------------------------------------------
-# Conditions
-# ---------------------------------------------------------------------------
-
-
-def condition_to_term(condition) -> Data:
-    if condition is None or isinstance(condition, cond.TrueCond):
-        return _d("c-true")
-    if isinstance(condition, cond.QueryCond):
-        return _d("c-query", _uri_term(condition.uri), to_text(condition.query))
-    if isinstance(condition, cond.NotCond):
-        return _d("c-not", condition_to_term(condition.inner))
-    if isinstance(condition, cond.AndCond):
-        return _d("c-and", *(condition_to_term(m) for m in condition.members))
-    if isinstance(condition, cond.OrCond):
-        return _d("c-or", *(condition_to_term(m) for m in condition.members))
-    if isinstance(condition, cond.CompareCond):
-        return _d("c-cmp", to_text(condition.lhs), condition.op, to_text(condition.rhs))
-    raise MetaError(f"cannot encode condition {condition!r}")
-
-
-def term_to_condition(term: Data):
-    if term.label == "c-true":
-        return cond.TrueCond()
-    if term.label == "c-query":
-        uri, query = term.children
-        return cond.QueryCond(_uri_from(uri), parse_query(str(query)))
-    if term.label == "c-not":
-        return cond.NotCond(term_to_condition(term.children[0]))
-    if term.label == "c-and":
-        return cond.AndCond(*(term_to_condition(c) for c in term.children))
-    if term.label == "c-or":
-        return cond.OrCond(*(term_to_condition(c) for c in term.children))
-    if term.label == "c-cmp":
-        lhs, op, rhs = term.children
-        return cond.CompareCond(parse_construct(str(lhs)), str(op),
-                                parse_construct(str(rhs)))
-    raise MetaError(f"unknown condition encoding {term.label!r}")
-
-
-# ---------------------------------------------------------------------------
-# Actions
-# ---------------------------------------------------------------------------
-
-
-def action_to_term(action) -> Data:
-    if isinstance(action, act.Raise):
-        return _d("a-raise", _uri_term(action.to), to_text(action.term))
-    if isinstance(action, act.Update):
-        children = [_uri_term(action.uri), _d("target", to_text(action.target))]
-        if action.payload is not None:
-            children.append(_d("payload", to_text(action.payload)))
-        return _d("a-update", *children, kind=action.kind, position=action.position,
-                  require=str(action.require_effect).lower())
-    if isinstance(action, act.PutResource):
-        return _d("a-put", _uri_term(action.uri), to_text(action.content))
-    if isinstance(action, act.DeleteResource):
-        return _d("a-delete-resource", _uri_term(action.uri))
-    if isinstance(action, act.Persist):
-        return _d("a-persist", _uri_term(action.uri), to_text(action.content),
-                  root=action.root_label)
-    if isinstance(action, act.Sequence):
-        return _d("a-seq", *(action_to_term(a) for a in action.actions),
-                  atomic=str(action.atomic).lower())
-    if isinstance(action, act.Alternative):
-        return _d("a-alt", *(action_to_term(a) for a in action.actions))
-    if isinstance(action, act.Conditional):
-        children = [condition_to_term(action.condition), action_to_term(action.then)]
-        if action.otherwise is not None:
-            children.append(action_to_term(action.otherwise))
-        return _d("a-cond", *children)
-    if isinstance(action, act.CallProcedure):
-        args = [_d("arg", name, to_text(value)) for name, value in action.args]
-        return _d("a-call", action.name, *args)
-    if isinstance(action, act.InstallRule):
-        return _d("a-install", to_text(action.rule_term))
-    if isinstance(action, act.UninstallRule):
-        name = action.name if isinstance(action.name, str) else None
-        if name is None:
-            return _d("a-uninstall", _d("uri-var", action.name.name))
-        return _d("a-uninstall", name)
-    if isinstance(action, act.PyAction):
-        raise MetaError(
-            f"PyAction {action.label!r} is not serialisable; rules containing "
-            "it cannot be exchanged"
-        )
-    raise MetaError(f"cannot encode action {action!r}")
-
-
-def term_to_action(term: Data):
-    if term.label == "a-raise":
-        to, construct = term.children
-        return act.Raise(_uri_from(to), parse_construct(str(construct)))
-    if term.label == "a-update":
-        uri = _uri_from(term.children[0])
-        fields = {c.label: c for c in term.children[1:] if isinstance(c, Data)}
-        payload = None
-        if "payload" in fields:
-            payload = parse_construct(str(fields["payload"].value))
-        return act.Update(
-            uri,
-            term.attr("kind") or "insert",
-            parse_query(str(fields["target"].value)),
-            payload,
-            term.attr("position") or "end",
-            term.attr("require") == "true",
-        )
-    if term.label == "a-put":
-        uri, construct = term.children
-        return act.PutResource(_uri_from(uri), parse_construct(str(construct)))
-    if term.label == "a-delete-resource":
-        return act.DeleteResource(_uri_from(term.children[0]))
-    if term.label == "a-persist":
-        uri, construct = term.children
-        return act.Persist(_uri_from(uri), parse_construct(str(construct)),
-                           term.attr("root") or "log")
-    if term.label == "a-seq":
-        return act.Sequence(*(term_to_action(c) for c in term.children),
-                            atomic=term.attr("atomic") != "false")
-    if term.label == "a-alt":
-        return act.Alternative(*(term_to_action(c) for c in term.children))
-    if term.label == "a-cond":
-        condition = term_to_condition(term.children[0])
-        then = term_to_action(term.children[1])
-        otherwise = term_to_action(term.children[2]) if len(term.children) > 2 else None
-        return act.Conditional(condition, then, otherwise)
-    if term.label == "a-call":
-        name = str(term.children[0])
-        args = tuple(
-            (str(c.children[0]), parse_construct(str(c.children[1])))
-            for c in term.children[1:]
-            if isinstance(c, Data)
-        )
-        return act.CallProcedure(name, args)
-    if term.label == "a-install":
-        return act.InstallRule(parse_construct(str(term.children[0])))
-    if term.label == "a-uninstall":
-        child = term.children[0]
-        if isinstance(child, Data):
-            return act.UninstallRule(Var(str(child.value)))
-        return act.UninstallRule(str(child))
-    raise MetaError(f"unknown action encoding {term.label!r}")
-
-
-# ---------------------------------------------------------------------------
-# Rules
-# ---------------------------------------------------------------------------
+def _encode(value, word: str, inner):
+    if inner is not None:
+        values = (value,) if len(inner) == 1 else value
+        return _d(word, *_encode_fields(values, inner))
+    if word in _KINDS:
+        return _encode_node(value, word)
+    if word in ("u", "n"):
+        if isinstance(value, Var):
+            return _d("uri-var", value.name)
+        return _d("uri", value) if word == "u" else value
+    if word in ("q", "c"):
+        return to_text(value)
+    return float(value) if word == "f" else value
 
 
 def rule_to_term(rule: ECARule) -> Data:
     """Encode a whole rule as a data term (the Thesis 11 exchange format)."""
-    branches = []
-    for branch_condition, branch_action in rule.branches:
-        branches.append(
-            _d("branch", condition_to_term(branch_condition), action_to_term(branch_action))
-        )
-    children = [_d("on", event_to_term(rule.event)), _d("branches", *branches)]
-    if rule.otherwise is not None:
-        children.append(_d("else", action_to_term(rule.otherwise)))
-    return _d("eca-rule", *children, name=rule.name, firing=rule.firing)
+    return _encode_node(rule, "R")
+
+
+def _decode_node(term, kind: str, path: str):
+    prefix, what = _KINDS[kind]
+    label = term.label if isinstance(term, Data) else None
+    if label not in _SPECS or not label.startswith(prefix):
+        raise MetaError(f"{path or '/'}: expected {what} term, got {term!r}")
+    cls, names, shapes, attrs, star = _SPECS[label]
+    path = f"{path}/{label}" if path else label
+    try:
+        kwargs = dict(zip(names, _decode_fields(term.children, shapes, path)))
+        for attr, field, default in attrs:
+            value = term.attr(attr)
+            if value is None:
+                value = default
+            elif isinstance(default, bool):
+                if value not in ("true", "false"):
+                    raise MetaError(f"{path}: {attr}={value!r} is not true/false")
+                value = value == "true"
+            kwargs[field] = value
+        return cls(*kwargs.pop(star, ()), **kwargs)
+    except MetaError:
+        raise
+    except ReWebError as exc:
+        raise MetaError(f"{path}: {exc}") from exc
+
+
+def _decode_fields(children: tuple, shapes, path: str) -> list:
+    values, i = [], 0
+    for word, inner, tail in shapes:
+        rest = children[i:]
+        if tail == "*":
+            values.append(tuple(_decode(child, word, inner, path) for child in rest))
+            i = len(children)
+        elif tail == "?" and not (rest and (inner is None or _is(rest[0], word))):
+            values.append(None)
+        elif not rest:
+            raise MetaError(f"{path}: missing {word} child")
+        else:
+            values.append(_decode(rest[0], word, inner, path))
+            i += 1
+    if i < len(children):
+        raise MetaError(f"{path}: unexpected child {children[i]!r}")
+    return values
+
+
+def _decode(child, word: str, inner, path: str):
+    if inner is not None:
+        if not _is(child, word):
+            raise MetaError(f"{path}: expected {word}{{...}}, got {child!r}")
+        values = _decode_fields(child.children, inner, f"{path}/{word}")
+        return values[0] if len(inner) == 1 else tuple(values)
+    if word in _KINDS:
+        return _decode_node(child, word, path)
+    if word in ("u", "n"):
+        if isinstance(child, Data) and isinstance(child.value, str):
+            if child.label == "uri-var":
+                return Var(child.value)
+            if child.label == "uri" and word == "u":
+                return child.value
+        if word == "n" and isinstance(child, str):
+            return child
+        what = "uri" if word == "u" else "rule name"
+        raise MetaError(f"{path}: expected a {what}, got {child!r}")
+    types, convert, name = _SCALARS[word]
+    if isinstance(child, bool) or not isinstance(child, types):
+        raise MetaError(f"{path}: expected {name}, got {child!r}")
+    return convert(child)
 
 
 def term_to_rule(term: Data) -> ECARule:
     """Decode a rule term; raises :class:`MetaError` on malformed input."""
-    if not isinstance(term, Data) or term.label != "eca-rule":
-        raise MetaError(f"not a rule term: {term!r}")
-    name = term.attr("name")
-    if not name:
-        raise MetaError("rule term lacks a name attribute")
-    on = term.first("on")
-    branches_term = term.first("branches")
-    if on is None or branches_term is None or not on.children:
-        raise MetaError(f"rule {name!r} lacks on/branches")
-    event = term_to_event(on.children[0])
-    branches = []
-    for branch in branches_term.children:
-        if not isinstance(branch, Data) or len(branch.children) != 2:
-            raise MetaError(f"malformed branch in rule {name!r}")
-        branches.append(
-            (term_to_condition(branch.children[0]), term_to_action(branch.children[1]))
-        )
-    otherwise_term = term.first("else")
-    otherwise = (
-        term_to_action(otherwise_term.children[0])
-        if otherwise_term is not None and otherwise_term.children
-        else None
-    )
-    return ECARule(name, event, tuple(branches), otherwise,
-                   term.attr("firing") or "all")
+    try:
+        return _decode_node(term, "R", "")
+    except RecursionError:
+        raise MetaError("rule term nested too deeply to decode") from None

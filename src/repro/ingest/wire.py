@@ -2,9 +2,8 @@
 
 One event on the wire is one *frame*: a 4-byte big-endian length prefix
 followed by that many bytes of UTF-8 text — the textual serialisation
-(:func:`repro.terms.parser.to_text`, the same round-trip-safe surface the
-rule-language serialiser in :mod:`repro.lang.serializer` builds on) of a
-SOAP-style :class:`~repro.web.soap.Envelope` term::
+(:func:`repro.terms.parser.to_text`, the parser's round-trip-safe term
+surface) of a SOAP-style :class:`~repro.web.soap.Envelope` term::
 
     envelope{ header{ sender[...], sent-at[...], message-id[...] },
               body{ <event term> } }
@@ -12,8 +11,8 @@ SOAP-style :class:`~repro.web.soap.Envelope` term::
 Reusing the textual term surface means the wire format gets the parser's
 round-trip guarantee for free (property-tested in
 ``tests/ingest/test_wire.py``), stays human-readable in a packet dump,
-and can carry *any* serialisable event term — including, one day, rule
-terms for Thesis-11 rule shipping.
+and can carry *any* serialisable event term — including rule terms
+(:func:`repro.core.meta.rule_to_term`) for Thesis-11 rule shipping.
 
 Robustness contract: every malformed input — a truncated length prefix,
 a frame longer than ``max_frame``, bytes that are not UTF-8, text that is

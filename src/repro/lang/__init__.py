@@ -13,10 +13,11 @@ A small, readable textual language for whole rules and rule programs::
        END
 
 Keywords are upper-case; everything lower-case inside patterns is the term
-language from :mod:`repro.terms.parser`.  ``parse_rule``/``parse_program``
-and ``rule_to_text`` round-trip (tested), which together with the term
-encoding in :mod:`repro.core.meta` gives two interchangeable wire formats
-for rule exchange (Thesis 11).
+language from :mod:`repro.terms.parser`.  The text syntax is an *input*
+format: programs are written in it and parsed into rules.  Rules travel
+between nodes in one wire format, the rule terms of
+:mod:`repro.core.meta` (Thesis 11); there is no rule-to-text direction in
+the package.
 """
 
 from repro.lang.parser import (
@@ -26,7 +27,6 @@ from repro.lang.parser import (
     parse_program,
     parse_rule,
 )
-from repro.lang.serializer import program_to_text, rule_to_text
 
 __all__ = [
     "parse_action",
@@ -34,6 +34,4 @@ __all__ = [
     "parse_event_query",
     "parse_program",
     "parse_rule",
-    "program_to_text",
-    "rule_to_text",
 ]

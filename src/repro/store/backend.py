@@ -218,7 +218,11 @@ class StoreConfig:
     - ``snapshot_every`` — commits between automatic checkpoints
       (``None``: only explicit :meth:`DurableResourceStore.checkpoint`
       calls compact).  Smaller values bound recovery replay length and
-      log size at the cost of rewriting the snapshot more often.
+      log size at the cost of rewriting the snapshot more often.  An
+      automatic checkpoint that fails with ``OSError`` leaves the commit
+      that triggered it standing: it is counted in
+      ``DurableResourceStore.checkpoint_failures`` and retried at the
+      next boundary.
 
     Fault injection is not configured here: it is wired where the fault
     happens, ``WalBackend(path, fault=FaultPlan(...))``.
@@ -285,6 +289,7 @@ class DurableResourceStore(ResourceStore):
         # that crashes every N commits must still compact eventually.
         self._since_checkpoint = len(recovery.replayed)
         self.commits = 0
+        self.checkpoint_failures = 0
 
     # -- the seam -----------------------------------------------------------
 
@@ -303,11 +308,16 @@ class DurableResourceStore(ResourceStore):
     def _make_durable(self, entries) -> tuple:
         ops = super()._make_durable(entries)
         # The cadence checkpoint runs once the commit is durable and is
-        # not part of it: a checkpoint that fails propagates, but never
-        # undoes a commit a reopen would recover.
+        # not part of it: a failing one is counted, the log keeps growing,
+        # and it is retried at the next boundary.  The committing caller
+        # never sees it (an explicit checkpoint() still raises).
         if (self._snapshot_every is not None
                 and self._since_checkpoint >= self._snapshot_every):
-            self.checkpoint()
+            try:
+                self.checkpoint()
+            except OSError:
+                self.checkpoint_failures += 1
+                self._since_checkpoint = 0
         return ops
 
     # -- recovery surface ---------------------------------------------------

@@ -1,7 +1,10 @@
-"""Serializer for the surface rule language (round-trip safe).
+"""Serializer for the surface rule language (the parser's test oracle).
 
 ``parse_rule(rule_to_text(rule)) == rule`` for every serialisable rule
-(rules with :class:`PyAction` are refused, as in the meta encoding).
+(rules with :class:`PyAction` are refused, as in the meta encoding).  The
+product exchanges rules as terms (:mod:`repro.core.meta`); the text
+syntax is input only, and this inverse of :mod:`repro.lang.parser` lives
+beside the tests that check the parser against it.
 """
 
 from __future__ import annotations

@@ -81,14 +81,6 @@ class TestReactiveNodeFacade:
         assert node.engine.consumption == "chronicle"
         assert node.engine.config.trie_depth == 0
 
-    def test_config_conflicts_with_legacy_kwargs(self):
-        from repro.core import ReactiveEngine
-
-        sim = Simulation(latency=0.0)
-        with pytest.raises(RuleError):
-            ReactiveEngine(sim.node("http://n.example"),
-                           consumption="recent", config=EngineConfig())
-
     def test_bad_consumption_policy_rejected_eagerly(self):
         from repro.errors import EventQueryError
 

@@ -85,7 +85,8 @@ class TestEngineLifecycle:
         sim, node, engine_default = one_node()
         sim2 = Simulation(latency=0.0)
         node2 = sim2.node("http://m.example")
-        engine_chronicle = ReactiveEngine(node2, consumption="chronicle")
+        engine_chronicle = ReactiveEngine(
+            node2, config=EngineConfig(consumption="chronicle"))
         hits_default, hits_chronicle = [], []
         query = EAnd(EAtom(q("a", Var("X"))), EAtom(q("b", Var("Y"))))
         engine_default.install(eca("j", query,

@@ -9,6 +9,7 @@ from repro.core import (
     CompareCond,
     Conditional,
     ECARule,
+    EngineConfig,
     InstallRule,
     NotCond,
     Persist,
@@ -390,7 +391,7 @@ class TestDeductiveEventViews:
         )
         sim = Simulation(latency=0.01)
         a = sim.node("http://a.example")
-        engine = ReactiveEngine(a, event_views=views)
+        engine = ReactiveEngine(a, config=EngineConfig(event_views=views))
         hits = []
         engine.install(eca("vip", EAtom(parse_query("high-value-order[[ var I ]]")),
                            PyAction(lambda n, b_: hits.append(b_["I"]))))
@@ -408,7 +409,8 @@ class TestDeductiveEventViews:
         sim = Simulation()
         node = sim.node("http://a.example")
         with pytest.raises(RecursionRejected):
-            ReactiveEngine(node, event_views=Program(looping))
+            ReactiveEngine(node,
+                           config=EngineConfig(event_views=Program(looping)))
 
 
 class TestAbsenceScheduling:

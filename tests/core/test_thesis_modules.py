@@ -24,6 +24,7 @@ from repro.errors import (
     AuthenticationError,
     AuthorizationError,
     MetaError,
+    ParseError,
 )
 from repro.events.queries import EAtom, ECount, ENot, ESeq, EWithin, EAggregate
 from repro.core.conditions import AndCond, CompareCond, NotCond, OrCond, TrueCond
@@ -38,6 +39,7 @@ from repro.core.actions import (
     UninstallRule,
 )
 from repro.terms import Var, c, d, parse_construct, parse_data, parse_query, q
+from repro.terms.ast import Data
 from repro.web import Simulation
 
 
@@ -233,6 +235,25 @@ class TestMetaEncoding:
             term_to_rule(d("not-a-rule"))
         with pytest.raises(MetaError):
             term_to_rule(d("eca-rule"))  # no name, no parts
+        term = rule_to_term(self.RULES[0])
+        on, branches = term.children
+        # Refused since the decoder reads children by position: an extra
+        # child, a duplicated `on`, keyed children out of order.
+        for children in ((on, branches, branches.children[0]),
+                         (on, on, branches), (branches, on)):
+            with pytest.raises(MetaError):
+                term_to_rule(Data(term.label, children, True, term.attrs))
+        # A fault deep inside names its path and keeps its cause.
+        broken = Data(term.label, (d("on", Data("e-atom", ("a{{ var",))),
+                                   branches), True, term.attrs)
+        with pytest.raises(MetaError, match="^eca-rule/on/e-atom: ") as info:
+            term_to_rule(broken)
+        assert isinstance(info.value.__cause__, ParseError)
+        # Nesting the term parser accepts but the decoder's stack does not.
+        deep = parse_data('eca-rule @{name="r"}[on[' + "e-and[" * 400
+                          + 'e-atom["a"]' + "]" * 400 + "], branches[]]")
+        with pytest.raises(MetaError, match="too deeply"):
+            term_to_rule(deep)
 
 
 class TestAAA:

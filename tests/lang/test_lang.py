@@ -2,6 +2,7 @@
 
 import pytest
 
+from _rule_text import program_to_text, rule_to_text
 from repro.core import (
     Alternative,
     CallProcedure,
@@ -28,7 +29,7 @@ from repro.events.queries import (
     ESeq,
     EWithin,
 )
-from repro.lang import parse_program, parse_rule, program_to_text, rule_to_text
+from repro.lang import parse_program, parse_rule
 from repro.terms import Var, parse_construct, parse_query
 
 

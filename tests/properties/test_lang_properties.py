@@ -1,14 +1,23 @@
-"""Property-based round-trip tests for the surface rule language.
+"""Property-based round-trip tests for the rule language and rule terms.
 
 hypothesis generates random (valid) rules over the full AST — event
 algebra, conditions, actions — and requires
-``parse_rule(rule_to_text(rule)) == rule`` and the meta-encoding
-equivalent ``term_to_rule(rule_to_term(rule)) == rule``.
+``parse_rule(rule_to_text(rule)) == rule`` (``rule_to_text`` is the
+test-side serializer in ``tests/_rule_text.py``) and the meta-encoding
+equivalent ``term_to_rule(rule_to_term(rule)) == rule``, with the term
+byte-identical to the one the hand-written encoder in
+``tests/_meta_oracle.py`` builds.  A fixed-seed budget of structural
+mutations checks the decoder's contract: a hostile rule term raises
+:class:`MetaError` and nothing else.
 """
 
+import random
 import string
 
 from hypothesis import given, settings, strategies as st
+
+import _meta_oracle
+from _rule_text import rule_to_text
 
 from repro.core import actions as act
 from repro.core import conditions as cond
@@ -24,8 +33,10 @@ from repro.events.queries import (
     ESeq,
     EWithin,
 )
-from repro.lang import parse_rule, rule_to_text
+from repro.errors import MetaError
+from repro.lang import parse_rule
 from repro.terms import CTerm, QTerm, Var
+from repro.terms.ast import Data
 from repro.terms.parser import to_text
 
 LABELS = st.text(alphabet=string.ascii_lowercase, min_size=2, max_size=6)
@@ -139,7 +150,9 @@ def test_surface_language_round_trip(rule):
 @given(rules())
 @settings(max_examples=250, deadline=None)
 def test_meta_encoding_round_trip(rule):
-    assert term_to_rule(rule_to_term(rule)) == rule
+    term = rule_to_term(rule)
+    assert to_text(term) == to_text(_meta_oracle.rule_to_term(rule))
+    assert term_to_rule(term) == rule
 
 
 @given(rules())
@@ -148,3 +161,87 @@ def test_encodings_compose(rule):
     # text -> rule -> term -> rule -> text is stable.
     term = rule_to_term(parse_rule(rule_to_text(rule)))
     assert rule_to_text(term_to_rule(term)) == rule_to_text(rule)
+
+
+# Rules that between them use every label of the rule-term encoding.
+MUTATION_SEEDS = [
+    '''RULE flight FIRST
+       ON WITHIN 2.0 ( cancel{{ f[var F] }} AS var E THEN NOT rebook{{ f[var F] }}
+                       THEN ( a AND b ) OR c )
+       IF IN var U : doc{{ q[var Q] }} AND NOT ( var Q >= 3 OR TRUE )
+       DO SEQUENCE
+            INSERT n[var Q] INTO "http://n.example/d" AT doc
+            ALSO TRY DELETE old FROM "http://n.example/d"
+                 ELSETRY RAISE TO var U warn{ var E }
+                 END
+            ALSO WHEN TRUE THEN PUT "http://n.example/f" f{}
+                 ELSE DELETERESOURCE "http://n.example/f" END
+          END NONATOMIC
+       ELSE CALL page(WHO = var F)''',
+    '''RULE stock
+       ON AGG avg var P OF stock{{ p[var P] }} LAST 5 INTO var A BY [S] RISE 5.0
+       IF var A > 10 DO PERSIST note{ var A } INTO "http://n.example/log" ROOT notes
+       IF TRUE DO INSTALL var R
+       ELSE UNINSTALL stock''',
+    '''RULE counted
+       ON COUNT 3 OF outage{{ s[var S] }} WITHIN 60.0 BY [S]
+          OR AGG max var P OF p{{ v[var P] }} WITHIN 10.0 INTO var M WHEN > 3.0
+       DO WHEN IN "http://n.example/d" : d THEN UNINSTALL var S END''',
+]
+
+
+def _labels(term) -> set:
+    out = {term.label}
+    for child in term.children:
+        if isinstance(child, Data):
+            out |= _labels(child)
+    return out
+
+
+def _mutate(term: Data, path: tuple, rng: random.Random, labels: list) -> Data:
+    """Drop or duplicate one child of the node at *path*, or relabel it."""
+    children = list(term.children)
+    label = term.label
+    if path:
+        children[path[0]] = _mutate(children[path[0]], path[1:], rng, labels)
+    else:
+        edit = rng.choice(("drop", "duplicate", "relabel"))
+        if edit == "relabel" or not children:
+            label = rng.choice(labels)
+        elif edit == "drop":
+            del children[rng.randrange(len(children))]
+        else:
+            i = rng.randrange(len(children))
+            children.insert(i, children[i])
+    return Data(label, tuple(children), term.ordered, term.attrs)
+
+
+def _paths(term: Data, path: tuple = ()) -> list:
+    out = [path]
+    for i, child in enumerate(term.children):
+        if isinstance(child, Data):
+            out += _paths(child, path + (i,))
+    return out
+
+
+def test_hostile_rule_terms_raise_meta_error_only():
+    rng = random.Random(0)
+    seeds = [rule_to_term(parse_rule(text)) for text in MUTATION_SEEDS]
+    labels = sorted(set().union(*map(_labels, seeds)))
+    decoded = 0
+    for _ in range(5000):
+        term = rng.choice(seeds)
+        for _ in range(rng.randint(1, 3)):
+            term = _mutate(term, rng.choice(_paths(term)), rng, labels)
+        try:
+            rule = term_to_rule(term)
+        except MetaError:
+            continue
+        decoded += 1
+        assert term_to_rule(rule_to_term(rule)) == rule
+    assert decoded > 0  # the budget reaches past the first refusal
+    # The seeds cover what the generator above does not (CALL, INSTALL,
+    # UNINSTALL, windowed aggregates): their bytes match the oracle too.
+    assert [to_text(term) for term in seeds] == [
+        to_text(_meta_oracle.rule_to_term(parse_rule(text)))
+        for text in MUTATION_SEEDS]

@@ -240,6 +240,57 @@ class TestRecovery:
             store.put(DOC, d("doc", 1))
 
 
+class FullSnapshotWal(WalBackend):
+    """A WAL whose snapshot rewrite fails the way a full disk does; the
+    log appends still succeed."""
+
+    def __init__(self, path) -> None:
+        super().__init__(path)
+        self.checkpoint_calls = 0
+
+    def checkpoint(self, documents, floors, seq) -> None:
+        self.checkpoint_calls += 1
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+class TestFailedCadenceCheckpoint:
+    """The automatic checkpoint is not part of the commit that triggers
+    it: a failing one is counted, the commit returns and is announced,
+    and the retry waits for the next ``snapshot_every`` boundary."""
+
+    def test_commits_stand_and_are_announced(self, tmp_path):
+        store = DurableResourceStore(FullSnapshotWal(str(tmp_path / "store")),
+                                     snapshot_every=1)
+        heard = []
+        store.watch(lambda *op: heard.append(op[0]))
+        uris = [f"{DOC}/{i}" for i in range(3)]
+        for uri in uris:
+            store.put(uri, d("doc"))
+        assert heard == uris
+        assert store.checkpoint_failures == 3
+        store.close()
+        reopened = open_store(wal_config(tmp_path))
+        assert reopened.replay_pending == 3
+        assert reopened.uris() == store.uris()
+        reopened.close()
+
+    def test_the_retry_waits_for_the_next_boundary(self, tmp_path):
+        backend = FullSnapshotWal(str(tmp_path / "store"))
+        store = DurableResourceStore(backend, snapshot_every=2)
+        for i in range(4):
+            store.put(DOC, d("doc", i))
+        assert backend.checkpoint_calls == store.checkpoint_failures == 2
+        store.close()
+
+    def test_an_explicit_checkpoint_still_raises(self, tmp_path):
+        store = DurableResourceStore(FullSnapshotWal(str(tmp_path / "store")))
+        store.put(DOC, d("doc"))
+        with pytest.raises(OSError):
+            store.checkpoint()
+        assert store.checkpoint_failures == 0
+        store.close()
+
+
 class DiskFullBackend(StoreBackend):
     """Accepts commits until ``full`` is set, then refuses every append
     the way a full disk does."""
